@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke sweep-smoke hetero-smoke fabric-smoke bench-perf bench-fabric-perf bench-grid-perf bench-replication bench examples
+.PHONY: test bench-smoke sweep-smoke hetero-smoke fabric-smoke bench-perf bench-fabric-perf bench-grid-perf perfbench-smoke bench-replication bench examples
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -61,6 +61,17 @@ bench-fabric-perf:
 # points/sec regression gate.  Artifact: benchmarks/results/grid_adaptive.txt.
 bench-grid-perf:
 	$(PYTHON) -m pytest -q benchmarks/bench_grid_perf.py
+
+# The cold-start benchmark's correctness smoke: one short untraced pass
+# over every perfbench workload, each checked against its committed
+# reference (rack-mixed render digest, adaptive tipping rows, dense grid
+# digest).  run.py exits 0 even when a check fails, so this target also
+# requires its last output line (the summary JSON) to report
+# "correct": true with "failed": 0.
+perfbench-smoke:
+	@out=$$($(PYTHON) perfbench/run.py --trace 0 --seconds 1) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | tail -n 1 | $(PYTHON) -c 'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else "perfbench-smoke: a workload failed its reference check")'
 
 # The replication acceptance benchmark: K=8 seeds of the reduced
 # sweep-rack-kvs, per-seed byte-identity vs serial run_sweep everywhere,

@@ -225,7 +225,7 @@ def _print_perf_stats(result) -> None:
         f"{cache['size']} cached",
         f"  executor: {pool['pool_creates']} pool created, "
         f"{pool['pool_reuses']} warm reuses, "
-        f"{pool['tasks_dispatched']} tasks dispatched",
+        f"{pool['tasks_dispatched']} pinned replays dispatched",
     ]
     print("\n".join(lines), file=sys.stderr)
 
@@ -316,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run --sweep grid points on N worker processes (results are "
-        "identical to the serial default; only the wall clock changes)",
+        help="run --sweep's pinned DES replays on N worker processes "
+        "(results are identical to the serial default; only the wall "
+        "clock changes)",
     )
     parser.add_argument(
         "--seeds",
@@ -325,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="replicate --sweep over K seeds and print mean ± 95%% CI "
-        "tables (K tasks per grid point share the --workers pool; "
+        "tables (every seed's pinned replays share the --workers pool; "
         "seed 1 of K is the sweep's own seed)",
     )
     parser.add_argument(

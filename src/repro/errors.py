@@ -22,6 +22,12 @@ class ConfigurationError(ReproError):
     """Raised when a model is constructed with invalid parameters."""
 
 
+class ExecutorError(ReproError):
+    """Raised when the sweep executor's process pool breaks mid-sweep,
+    e.g. a worker killed by the operating system for running out of
+    memory.  Names the first pinned replay left unanswered."""
+
+
 class CapacityError(ReproError):
     """Raised when a device is offered load beyond its configured capacity
     in a context where overload is a programming error (e.g. analytic

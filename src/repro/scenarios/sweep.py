@@ -29,12 +29,23 @@ import atexit
 import dataclasses
 import hashlib
 import math
-from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ExecutorError
 from ..sim.recorder import percentiles
 from .builder import ScenarioBuilder, ScenarioResult, ScenarioRun
 from .registry import _REGISTRY, resolve_factory
@@ -274,31 +285,8 @@ class ScenarioSweepResult:
                 pts = sorted(pts, key=lambda pt: pt.params[axis])
             except TypeError:
                 pass
-            crossover = None
-            sw_opw = hw_opw = od_opw = None
-            monotone = True
-            seen_win = False
-            for pt in pts:
-                if pt.hardware_wins:
-                    if not seen_win:
-                        seen_win = True
-                        crossover = pt.params[axis]
-                        sw_opw = pt.software.ops_per_watt
-                        hw_opw = pt.hardware.ops_per_watt
-                        if pt.ondemand is not None:
-                            od_opw = pt.ondemand.ops_per_watt
-                elif seen_win:
-                    monotone = False
             rows.append(
-                TippingPoint(
-                    fixed=dict(zip(other_params, key)),
-                    axis=axis,
-                    crossover=crossover,
-                    sw_ops_per_watt=sw_opw,
-                    hw_ops_per_watt=hw_opw,
-                    od_ops_per_watt=od_opw,
-                    monotone=monotone,
-                )
+                _scan_tipping_group(dict(zip(other_params, key)), axis, pts)
             )
         return rows
 
@@ -556,11 +544,14 @@ def _estimate_aggregate(est, mode: str) -> SweepAggregate:
     )
 
 
-def _steady_aggregate(pinned_spec: ScenarioSpec, mode: str) -> SweepAggregate:
-    """The fast path's analytic stand-in for one pinned DES run."""
-    from .fastpath import steady_point
-
-    return _estimate_aggregate(steady_point(pinned_spec, mode), mode)
+def _as_ondemand(software: SweepAggregate) -> SweepAggregate:
+    """The on-demand column of a point where nothing can shift: the
+    on-demand run *is* the software run, so it is never re-run."""
+    return dataclasses.replace(
+        software,
+        mode="ondemand",
+        power_by_placement=dict(software.power_by_placement),
+    )
 
 
 def _hybrid_ondemand_aggregate(
@@ -609,70 +600,110 @@ def _hybrid_ondemand_aggregate(
     )
 
 
-def _run_grid_point(
-    task: Tuple[ScenarioSweepSpec, Dict[str, object], bool]
-) -> SweepPointResult:
-    """Execute every pinned variant of one grid point.
+# ---------------------------------------------------------------------------
+# The plan: one pinned evaluation per (replicate, grid point, pin).
+# ---------------------------------------------------------------------------
 
-    Module-level (not a closure) so the parallel executor can pickle it to
-    worker processes.  Each point builds its own Simulator and RNGs from
-    the spec's seeds, so running points in separate processes produces the
-    same :class:`SweepPointResult` values as the serial loop.
+#: The pins the steady curves can answer: the on-demand pin's live
+#: controllers are not rate-constant.
+_STATIC_PINS = ("software", "hardware")
+
+
+class PinTask(NamedTuple):
+    """One pinned evaluation of a sweep plan.
+
+    ``key`` is ``(replicate, grid point index)``.  ``evaluator`` says what
+    answers the pin: ``"analytic"`` (the steady curves), ``"des"`` (a full
+    replay) or ``"hybrid"`` (the on-demand pin of a mixed rack: analytic
+    hosts plus a residual DES sub-rack).  ``scenario`` is the spec the
+    evaluator takes: an analytic pin's pinned variant, or else the grid
+    point's one materialization, which every replayed pin of the point
+    shares (:func:`run_pinned` pins it).
     """
-    spec, params, fastpath = task
-    scenario = _materialize(spec, params)
-    if fastpath:
-        from .fastpath import split_steady, steady_eligible
 
-        if steady_eligible(software_variant(scenario)):
-            # rate-constant KVS pins: the steady curves replace both DES
-            # replays (the on-demand pin below still runs DES when it can
-            # actually shift — controllers are not rate-constant)
-            software = _steady_aggregate(software_variant(scenario), "software")
-            hardware = _steady_aggregate(hardware_variant(scenario), "hardware")
-            if _has_ondemand_drive(scenario):
-                od_spec = ondemand_variant(scenario)
-                analytic_idx, residual = split_steady(od_spec)
-                if analytic_idx and residual is not None:
-                    # mixed rack: analytics for the hosts that cannot
-                    # shift, DES only for the sub-rack that can
-                    ondemand = _hybrid_ondemand_aggregate(
-                        od_spec, analytic_idx, residual
-                    )
-                else:
-                    od_run, od_result = run_pinned(scenario, "ondemand")
-                    ondemand = _aggregate(od_run, od_result, "ondemand")
-            else:
-                ondemand = dataclasses.replace(
-                    software,
-                    mode="ondemand",
-                    power_by_placement=dict(software.power_by_placement),
-                )
-            return SweepPointResult(
-                params=params,
-                software=software,
-                hardware=hardware,
-                ondemand=ondemand,
-            )
-    sw_run, sw_result = run_pinned(scenario, "software")
-    hw_run, hw_result = run_pinned(scenario, "hardware")
-    software = _aggregate(sw_run, sw_result, "software")
-    if _has_ondemand_drive(scenario):
-        od_run, od_result = run_pinned(scenario, "ondemand")
-        ondemand = _aggregate(od_run, od_result, "ondemand")
+    key: Tuple[int, int]
+    params: Dict[str, object]
+    mode: str
+    evaluator: str
+    scenario: ScenarioSpec
+
+
+def _pin_tasks(
+    key: Tuple[int, int],
+    params: Dict[str, object],
+    scenario: ScenarioSpec,
+    fastpath: bool,
+) -> List[PinTask]:
+    """The pins of one grid point.  Under ``fastpath`` the steady curves
+    answer a steady-state-eligible point's static pins.  The on-demand
+    pin exists only when something can shift; on an analytic point whose
+    rack splits (:func:`~repro.scenarios.fastpath.split_steady`) it is a
+    hybrid, else a full DES replay."""
+    from .fastpath import split_steady, steady_eligible
+
+    software = software_variant(scenario) if fastpath else None
+    analytic = software is not None and steady_eligible(software)
+    if analytic:
+        tasks = [
+            PinTask(key, params, "software", "analytic", software),
+            PinTask(
+                key, params, "hardware", "analytic", hardware_variant(scenario)
+            ),
+        ]
     else:
-        # nothing can shift (no controllers, no scheduled shifts):
-        # the on-demand run is the software run, so don't re-run it
-        ondemand = dataclasses.replace(
-            software,
-            mode="ondemand",
-            power_by_placement=dict(software.power_by_placement),
+        tasks = [
+            PinTask(key, params, mode, "des", scenario) for mode in _STATIC_PINS
+        ]
+    if _has_ondemand_drive(scenario):
+        evaluator = "des"
+        if analytic:
+            indices, residual = split_steady(ondemand_variant(scenario))
+            if indices and residual is not None:
+                evaluator = "hybrid"
+        tasks.append(PinTask(key, params, "ondemand", evaluator, scenario))
+    return tasks
+
+
+def _plan(
+    sweeps: Sequence[ScenarioSweepSpec],
+    grid: Sequence[Dict[str, object]],
+    fastpath: bool,
+) -> Iterator[PinTask]:
+    """Every pin of every grid point of each replicate sweep, in
+    replicate-major grid order (see :func:`_pin_tasks`).
+
+    A generator: the executor answers analytic slices while the plan is
+    still being materialized, so only one slice of specs is alive at a
+    time.  A fastpath plan with no eligible point raises at its end,
+    before anything replays — it would silently run the full DES."""
+    answered = False
+    for rep, sweep in enumerate(sweeps):
+        for i, params in enumerate(grid):
+            tasks = _pin_tasks(
+                (rep, i), params, _materialize(sweep, params), fastpath
+            )
+            answered = answered or tasks[0].evaluator == "analytic"
+            yield from tasks
+    if fastpath and not answered:
+        raise ConfigurationError(
+            f"sweep {sweeps[0].name!r} over {sweeps[0].base!r}: fastpath="
+            "True, but no grid point is steady-state eligible — every point "
+            "would silently run the full DES; drop fastpath=True or sweep "
+            "an eligible scenario (see "
+            "repro.scenarios.fastpath.steady_eligible)"
         )
+
+
+def _point_result(
+    params: Dict[str, object], aggregates: Dict[str, SweepAggregate]
+) -> SweepPointResult:
+    """One grid point assembled from its answered pins."""
+    software = aggregates["software"]
     return SweepPointResult(
         params=params,
         software=software,
-        hardware=_aggregate(hw_run, hw_result, "hardware"),
-        ondemand=ondemand,
+        hardware=aggregates["hardware"],
+        ondemand=aggregates.get("ondemand") or _as_ondemand(software),
     )
 
 
@@ -687,15 +718,23 @@ def _run_grid_point(
 _POOL = None
 _POOL_SIZE = 0
 #: The scenario registry as the pool's workers saw it at fork time
-#: (strong refs, compared by identity).  Fork workers resolve scenario
-#: names in their inherited registry, so a scenario registered *after*
-#: the fork would be invisible to a reused pool — recreate instead.
+#: (strong refs, compared by identity).  Fork workers run with the module
+#: state they inherited, so a scenario registered *after* the fork (and
+#: anything registered alongside it) would be invisible to a reused
+#: pool — recreate instead.
 _POOL_REGISTRY: Optional[Dict[str, Callable]] = None
 
 #: Executor observability (``--perf-stats``): how often parallel calls
-#: found the persistent pool warm vs had to fork one, and how many grid
-#: tasks were dispatched through it.
+#: found the persistent pool warm vs had to fork one, and how many pinned
+#: replays were dispatched through it.
 _EXECUTOR_STATS = {"pool_creates": 0, "pool_reuses": 0, "tasks_dispatched": 0}
+
+#: Grid points per analytic ``steady_grid`` call: bounds the parent's
+#: memory on dense fast-path grids to one slice of specs at a time.
+_ANALYTIC_SLICE = 512
+
+#: A plan's answers: pin -> aggregate, per ``(replicate, grid point)``.
+_Answers = Dict[Tuple[int, int], Dict[str, SweepAggregate]]
 
 
 def executor_stats() -> Dict[str, int]:
@@ -728,12 +767,17 @@ def _registry_changed() -> bool:
 
 def _get_pool(workers: int):
     """The shared pool, created on first use and reused while the worker
-    count and the scenario registry stay the same."""
+    count and the scenario registry stay the same.  Its workers fork on
+    the first dispatch."""
+    from concurrent.futures import ProcessPoolExecutor
+
     global _POOL, _POOL_SIZE, _POOL_REGISTRY
     if _POOL is not None and (_POOL_SIZE != workers or _registry_changed()):
         shutdown_executor()
     if _POOL is None:
-        _POOL = _fork_context().Pool(processes=workers)
+        _POOL = ProcessPoolExecutor(
+            max_workers=workers, mp_context=_fork_context()
+        )
         _POOL_SIZE = workers
         _POOL_REGISTRY = dict(_REGISTRY)
         _EXECUTOR_STATS["pool_creates"] += 1
@@ -744,11 +788,11 @@ def _get_pool(workers: int):
 
 def shutdown_executor() -> None:
     """Tear down the persistent worker pool (idempotent; re-created on the
-    next parallel call).  Registered at interpreter exit."""
+    next parallel call).  Queued replays are cancelled; a replay already
+    running finishes first.  Registered at interpreter exit."""
     global _POOL, _POOL_SIZE, _POOL_REGISTRY
     if _POOL is not None:
-        _POOL.terminate()
-        _POOL.join()
+        _POOL.shutdown(wait=True, cancel_futures=True)
         _POOL = None
         _POOL_SIZE = 0
         _POOL_REGISTRY = None
@@ -760,54 +804,142 @@ atexit.register(shutdown_executor)
 def _auto_chunksize(n_tasks: int, workers: int) -> int:
     """Dispatch granularity: ~4 chunks per worker.  Coarse enough that
     per-task IPC (pickle a spec over a pipe, wake the worker, pickle the
-    result back) stops dominating second-long DES tasks, fine enough that
-    work stealing still evens out slow points."""
+    result back) stops dominating short replays, fine enough that work
+    stealing still evens out slow pins."""
     return max(1, n_tasks // (max(1, workers) * 4))
 
 
-def _require_fastpath_eligibility(
-    spec: ScenarioSweepSpec, grid: Sequence[Dict[str, object]]
-) -> None:
-    """``fastpath=True`` on a sweep where no grid point qualifies would
-    silently run the full DES for everything — refuse instead."""
-    from .fastpath import steady_eligible
-
-    if any(
-        steady_eligible(software_variant(_materialize(spec, params)))
-        for params in grid
-    ):
+def _answer_analytic(tasks: List[PinTask], results: _Answers) -> None:
+    """Answer one slice of one pin's analytic tasks with a single
+    ``steady_grid`` call, then empty the slice."""
+    if not tasks:
         return
-    raise ConfigurationError(
-        f"sweep {spec.name!r} over {spec.base!r}: fastpath=True, but no "
-        "grid point is steady-state eligible — every point would silently "
-        "run the full DES; drop fastpath=True or sweep an eligible "
-        "scenario (see repro.scenarios.fastpath.steady_eligible)"
-    )
+    from .fastpath import steady_grid
+
+    mode = tasks[0].mode
+    estimates = steady_grid([task.scenario for task in tasks], mode)
+    for task, est in zip(tasks, estimates):
+        results[task.key][mode] = _estimate_aggregate(est, mode)
+    tasks.clear()
 
 
-def _run_grid_point_packed(
-    task: Tuple[ScenarioSweepSpec, Dict[str, object], bool]
-) -> tuple:
-    """Worker-side wrapper: run the grid point and ship back only the
-    packed aggregate (:func:`_pack_point`) — per-rack placement series
-    stay in the worker, so transport cost is independent of fabric size."""
-    return _pack_point(_run_grid_point(task))
+def _replay(task: PinTask) -> SweepAggregate:
+    """Answer one DES or hybrid pin.  Every pin builds its own Simulator
+    and RNGs from the spec's seeds, so a replay in a pool worker equals
+    the same replay in-process."""
+    if task.evaluator == "hybrid":
+        from .fastpath import split_steady
+
+        od_spec = ondemand_variant(task.scenario)
+        indices, residual = split_steady(od_spec)
+        return _hybrid_ondemand_aggregate(od_spec, indices, residual)
+    run, result = run_pinned(task.scenario, task.mode)
+    return _aggregate(run, result, task.mode)
+
+
+def _replay_chunk(chunk: Sequence[PinTask]) -> List[SweepAggregate]:
+    """Worker entry point (module-level, so the pool can pickle it)."""
+    return [_replay(task) for task in chunk]
+
+
+def _dispatch(tasks: List[PinTask], workers: int) -> List[SweepAggregate]:
+    """Replay pins through the persistent pool, results in plan order.
+
+    Tasks go out in :func:`_auto_chunksize` chunks, and only the
+    aggregates come back: per-rack series stay in the worker.  A worker
+    that dies (an OOM kill, an ``os._exit``) breaks the pool, and the
+    sweep fails with an :class:`ExecutorError` naming the first pin left
+    unanswered instead of waiting forever.  Any failure shuts the pool
+    down, so the next call forks a fresh one.
+    """
+    if not tasks:
+        return []
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = _get_pool(workers)
+    size = _auto_chunksize(len(tasks), workers)
+    chunks = [tasks[lo:lo + size] for lo in range(0, len(tasks), size)]
+    _EXECUTOR_STATS["tasks_dispatched"] += len(tasks)
+    out: List[SweepAggregate] = []
+    try:
+        futures = [pool.submit(_replay_chunk, chunk) for chunk in chunks]
+        for chunk, future in zip(chunks, futures):
+            try:
+                out.extend(future.result())
+            except BrokenProcessPool as exc:
+                task = chunk[0]
+                raise ExecutorError(
+                    f"a sweep worker process died; the first pin left "
+                    f"unanswered is grid point {task.params} ({task.mode} "
+                    f"pin, seed {task.scenario.seed}); the pool was shut "
+                    "down"
+                ) from exc
+    except BaseException:
+        shutdown_executor()
+        raise
+    return out
+
+
+def _execute(
+    plan: Iterable[PinTask], workers: Optional[int]
+) -> Tuple[_Answers, Set[Tuple[int, int]]]:
+    """The executor: answer every pinned evaluation of a plan.
+
+    Analytic pins never enter the pool.  The parent answers them with
+    one ``steady_grid`` call per pin per slice of at most
+    :data:`_ANALYTIC_SLICE` grid points, as the plan streams in.  DES and
+    hybrid pins replay one per task: in-process and in plan order (a
+    point's pins back to back) when ``workers`` is None or 1, else
+    through the persistent pool (:func:`_dispatch`).
+
+    Returns the aggregates by ``(replicate, grid point)`` key and pin,
+    plus the keys whose static pins replayed the DES.
+    """
+    results: _Answers = {}
+    slices: Dict[str, List[PinTask]] = {mode: [] for mode in _STATIC_PINS}
+    replays: List[PinTask] = []
+    for task in plan:
+        results.setdefault(task.key, {})
+        if task.evaluator != "analytic":
+            replays.append(task)
+            continue
+        pending = slices[task.mode]
+        pending.append(task)
+        if len(pending) == _ANALYTIC_SLICE:
+            _answer_analytic(pending, results)
+    for pending in slices.values():
+        _answer_analytic(pending, results)
+    if workers is None or workers == 1:
+        aggregates = [_replay(task) for task in replays]
+    else:
+        aggregates = _dispatch(replays, workers)
+    for task, agg in zip(replays, aggregates):
+        results[task.key][task.mode] = agg
+    return results, {t.key for t in replays if t.mode == "software"}
+
+
+def _run_grid(
+    sweeps: Sequence[ScenarioSweepSpec],
+    grid: Sequence[Dict[str, object]],
+    fastpath: bool,
+    workers: Optional[int],
+) -> List[ScenarioSweepResult]:
+    """Plan, execute and reduce every grid point of each replicate sweep."""
+    results, replayed = _execute(_plan(sweeps, grid, fastpath), workers)
+    return [
+        ScenarioSweepResult(
+            spec=sweep,
+            points=[
+                _point_result(params, results[(rep, i)])
+                for i, params in enumerate(grid)
+            ],
+            des_points_run=sum(1 for r, _ in replayed if r == rep),
+        )
+        for rep, sweep in enumerate(sweeps)
+    ]
 
 
 _SEARCH_MODES = ("exhaustive", "adaptive")
-
-
-def _count_ineligible(
-    spec: ScenarioSweepSpec, grid: Sequence[Dict[str, object]]
-) -> int:
-    """Grid points the fast path cannot answer (they replay the DES)."""
-    from .fastpath import steady_eligible
-
-    return sum(
-        1
-        for params in grid
-        if not steady_eligible(software_variant(_materialize(spec, params)))
-    )
 
 
 def _validate_anchors(
@@ -859,32 +991,6 @@ def _bracket_first_win(flags: Sequence[bool]) -> Optional[int]:
     return lo
 
 
-def _run_des_points(
-    spec: ScenarioSweepSpec,
-    grid: Sequence[Dict[str, object]],
-    indices: Sequence[int],
-    workers: Optional[int],
-) -> Dict[int, SweepPointResult]:
-    """Full-DES evaluation of selected grid points (one adaptive probe
-    wave), serial or through the persistent pool — byte-identical to the
-    same points of an exhaustive run."""
-    tasks = [(spec, grid[i], False) for i in indices]
-    if workers is None or workers == 1 or len(tasks) <= 1:
-        return {i: _run_grid_point(task) for i, task in zip(indices, tasks)}
-    pool = _get_pool(workers)
-    _EXECUTOR_STATS["tasks_dispatched"] += len(tasks)
-    try:
-        packed = pool.map(
-            _run_grid_point_packed,
-            tasks,
-            chunksize=_auto_chunksize(len(tasks), workers),
-        )
-    except Exception:
-        shutdown_executor()
-        raise
-    return {i: _unpack_point(*blob) for i, blob in zip(indices, packed)}
-
-
 def _linear_fill(
     xs: Sequence[int], ys: Sequence[float], n: int
 ) -> List[float]:
@@ -912,8 +1018,8 @@ def _scan_tipping_group(
     axis: str,
     pts: Sequence[SweepPointResult],
 ) -> TippingPoint:
-    """The exhaustive crossover scan over one fully-evaluated ramp group —
-    the same reduction :meth:`ScenarioSweepResult.tipping_points` applies."""
+    """The crossover scan over one fully-evaluated ramp group, in ramp
+    order (:meth:`ScenarioSweepResult.tipping_points` runs it per group)."""
     crossover = None
     sw_opw = hw_opw = od_opw = None
     monotone = True
@@ -982,7 +1088,7 @@ def _run_adaptive(
     run's confirmed crossover positions in the same shape.
     """
     scenarios = [_materialize(spec, params) for params in grid]
-    from .fastpath import steady_eligible, steady_grid
+    from .fastpath import steady_eligible
 
     eligible = [steady_eligible(software_variant(sc)) for sc in scenarios]
     if not any(eligible):
@@ -993,21 +1099,22 @@ def _run_adaptive(
             "search (see repro.scenarios.fastpath.steady_eligible)"
         )
     _validate_anchors(spec, anchors)
-    # one vectorized kernel pass per pin answers every eligible point
-    elig = [i for i in range(len(grid)) if eligible[i]]
-    sw_est = steady_grid(
-        [software_variant(scenarios[i]) for i in elig], "software"
+    # the executor answers every eligible point's static pins analytically
+    analytic, _ = _execute(
+        (
+            PinTask(
+                (0, i), grid[i], mode, "analytic", _VARIANTS[mode](scenarios[i])
+            )
+            for i in range(len(grid))
+            if eligible[i]
+            for mode in _STATIC_PINS
+        ),
+        workers,
     )
-    hw_est = steady_grid(
-        [hardware_variant(scenarios[i]) for i in elig], "hardware"
-    )
-    analytic: Dict[int, Tuple[SweepAggregate, SweepAggregate]] = {}
-    margin_a: Dict[int, float] = {}
-    for i, sw, hw in zip(elig, sw_est, hw_est):
-        sw_agg = _estimate_aggregate(sw, "software")
-        hw_agg = _estimate_aggregate(hw, "hardware")
-        analytic[i] = (sw_agg, hw_agg)
-        margin_a[i] = hw_agg.ops_per_watt - sw_agg.ops_per_watt
+    margin_a = {
+        i: pins["hardware"].ops_per_watt - pins["software"].ops_per_watt
+        for (_, i), pins in analytic.items()
+    }
     groups = spec.ramp_groups()
     adaptive_groups = [
         (g, indices)
@@ -1104,8 +1211,18 @@ def _run_adaptive(
         todo = sorted(i for i in pending if i not in probed)
         pending.clear()
         if todo:
-            fresh = _run_des_points(spec, grid, todo, workers)
-            probed.update(fresh)
+            # one probe wave: every pin of every point replays the DES
+            fresh, _ = _execute(
+                (
+                    task
+                    for i in todo
+                    for task in _pin_tasks((0, i), grid[i], scenarios[i], False)
+                ),
+                workers,
+            )
+            probed.update(
+                (i, _point_result(grid[i], fresh[(0, i)])) for i in todo
+            )
         for g, indices in adaptive_groups:
             if g in demoted:
                 pending.update(i for i in indices if i not in probed)
@@ -1177,23 +1294,19 @@ def _run_adaptive(
         if i in probed:
             points.append(probed[i])
             continue
-        sw_agg, hw_agg = analytic[i]
-        if _has_ondemand_drive(scenarios[i]):
-            # the controllers never ran at this point; leave the column
-            # empty rather than substitute a curve for live behavior
-            ondemand = None
-        else:
-            ondemand = dataclasses.replace(
-                sw_agg,
-                mode="ondemand",
-                power_by_placement=dict(sw_agg.power_by_placement),
-            )
+        pins = analytic[(0, i)]
         points.append(
             SweepPointResult(
                 params=params,
-                software=sw_agg,
-                hardware=hw_agg,
-                ondemand=ondemand,
+                software=pins["software"],
+                hardware=pins["hardware"],
+                # the controllers never ran at this point; leave the column
+                # empty rather than substitute a curve for live behavior
+                ondemand=(
+                    None
+                    if _has_ondemand_drive(scenarios[i])
+                    else _as_ondemand(pins["software"])
+                ),
                 estimated=True,
             )
         )
@@ -1216,19 +1329,24 @@ def run_sweep(
 ) -> ScenarioSweepResult:
     """Execute a sweep (named, or an explicit spec) over its whole grid.
 
-    ``workers`` > 1 fans the grid points out over the persistent process
-    pool (one point — all of its pinned runs — per task, dispatched in
-    auto-sized chunks, results shipped back packed).  Every point seeds
-    its own simulator and RNGs, so the parallel result is identical to
-    the serial one; ``Pool.map`` preserves grid order, so so is the point
-    order (and therefore the rendered tables).  The default is the serial
-    in-process loop.
+    The sweep is planned as one pinned evaluation per (grid point, pin),
+    and ``workers`` > 1 fans its DES replays out over the persistent
+    process pool, one pinned replay per task (dispatched in auto-sized
+    chunks; only aggregates come back).  Every replay seeds its own
+    simulator and RNGs and results reassemble in grid order, so the
+    parallel result — down to the rendered tables — is identical to the
+    serial one.  The default replays in-process, a point's pins back to
+    back.  Analytic pins never enter the pool (see ``fastpath``).
 
-    ``fastpath=True`` answers steady-state-eligible grid points (see
+    ``fastpath=True`` answers the software and hardware pins of
+    steady-state-eligible grid points (see
     :func:`repro.scenarios.fastpath.steady_eligible`) from the analytic
-    models instead of replaying the DES — opt-in, because the numbers are
-    the infinite-horizon limit rather than the finite replay (held within
-    tolerance by the fastpath validation gate, but not byte-identical).
+    models instead of replaying the DES: in the parent, one vectorized
+    ``steady_grid`` call per pin per slice of grid points.  An on-demand
+    pin that can shift still replays, as a hybrid on mixed racks.  It is
+    opt-in because the numbers are the infinite-horizon limit rather than
+    the finite replay (held within tolerance by the fastpath validation
+    gate, but not byte-identical).
     Raises :class:`ConfigurationError` when *no* grid point qualifies —
     a fastpath request that would silently run the full DES everywhere
     is a misconfiguration, not a slow success.
@@ -1273,31 +1391,7 @@ def run_sweep(
                 "probed points are already analytic); choose one of the two"
             )
         return _run_adaptive(spec, grid, workers, anchors=anchors)
-    if fastpath:
-        # pre-warming the materialization cache here also seeds the fork
-        # workers' caches (they inherit it), so the check is ~free
-        _require_fastpath_eligibility(spec, grid)
-    tasks = [(spec, params, fastpath) for params in grid]
-    if workers is None or workers == 1 or len(tasks) <= 1:
-        points = [_run_grid_point(task) for task in tasks]
-    else:
-        pool = _get_pool(workers)
-        _EXECUTOR_STATS["tasks_dispatched"] += len(tasks)
-        try:
-            packed = pool.map(
-                _run_grid_point_packed,
-                tasks,
-                chunksize=_auto_chunksize(len(tasks), workers),
-            )
-        except Exception:
-            # a dead or poisoned pool must not wedge the next call
-            shutdown_executor()
-            raise
-        points = [_unpack_point(*blob) for blob in packed]
-    des_points = _count_ineligible(spec, grid) if fastpath else len(grid)
-    return ScenarioSweepResult(
-        spec=spec, points=points, des_points_run=des_points
-    )
+    return _run_grid([spec], grid, fastpath, workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1327,22 +1421,19 @@ def replication_seeds(base_seed: int, k: int) -> List[int]:
 class ReplicationSpec:
     """How to replicate a sweep: K seeds per grid point.
 
-    ``workers`` fans the K × points task list over a process pool;
-    ``chunksize`` is the work-stealing granularity of the unordered
-    executor.  The default (``None``) auto-tunes it from the task count
-    and worker count (:func:`_auto_chunksize`) — per-task dispatch was
-    measurably slower than serial on short tasks; ``1`` restores the
-    finest stealing.  ``fastpath`` forwards to :func:`run_sweep`'s
-    steady-state analytics.  ``search="adaptive"`` brackets the
-    crossovers once on seed 0's analytic grid and DES-validates the
-    bracket per replicate seed (each seed's tipping rows are its own
-    DES-confirmed ones; later seeds just start the walk from seed 0's
-    answer instead of re-deriving the bracket).
+    ``workers`` fans the pinned DES replays of all K × points over the
+    persistent process pool, one replay per task, in chunks sized from
+    the task and worker counts (:func:`_auto_chunksize`).  ``fastpath``
+    forwards to :func:`run_sweep`'s steady-state analytics.
+    ``search="adaptive"`` brackets the crossovers once on seed 0's
+    analytic grid and DES-validates the bracket per replicate seed (each
+    seed's tipping rows are its own DES-confirmed ones; later seeds just
+    start the walk from seed 0's answer instead of re-deriving the
+    bracket).
     """
 
     seeds: int = 8
     workers: Optional[int] = None
-    chunksize: Optional[int] = None
     fastpath: bool = False
     search: str = "exhaustive"
 
@@ -1354,10 +1445,6 @@ class ReplicationSpec:
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {self.workers}"
-            )
-        if self.chunksize is not None and self.chunksize < 1:
-            raise ConfigurationError(
-                f"chunksize must be >= 1, got {self.chunksize}"
             )
         if self.search not in _SEARCH_MODES:
             raise ConfigurationError(
@@ -1408,80 +1495,11 @@ def replicate_stats(values: Sequence[float]) -> ReplicateStats:
     )
 
 
-#: scalar SweepAggregate fields carried across the process boundary.
-_AGG_FIELDS = (
-    "offered_pps",
-    "achieved_pps",
-    "total_power_w",
-    "p50_latency_us",
-    "p99_latency_us",
-    "ops_per_watt",
-)
-
-
-def _pack_point(pt: SweepPointResult) -> tuple:
-    """Reduce a grid-point result to compact transport: one ``array('d')``
-    byte blob of per-mode aggregates plus a tiny name layout.
-
-    Raw series never cross the process boundary — a packed point is a few
-    hundred bytes regardless of the run's event count — and the
-    float64 round-trip is exact, so parallel replication stays
-    byte-identical to serial execution.
-    """
-    aggs = [("software", pt.software), ("hardware", pt.hardware)]
-    if pt.ondemand is not None:
-        aggs.append(("ondemand", pt.ondemand))
-    layout = []
-    vals = array("d")
-    for mode, agg in aggs:
-        names = tuple(agg.power_by_placement)
-        layout.append((mode, names))
-        vals.extend(getattr(agg, f) for f in _AGG_FIELDS)
-        vals.extend(agg.power_by_placement[name] for name in names)
-    return pt.params, tuple(layout), vals.tobytes()
-
-
-def _unpack_point(
-    params: Dict[str, object], layout: tuple, blob: bytes
-) -> SweepPointResult:
-    vals = array("d")
-    vals.frombytes(blob)
-    offset = 0
-    by_mode: Dict[str, SweepAggregate] = {}
-    n_fields = len(_AGG_FIELDS)
-    for mode, names in layout:
-        fields = dict(zip(_AGG_FIELDS, vals[offset:offset + n_fields]))
-        offset += n_fields
-        placements = dict(zip(names, vals[offset:offset + len(names)]))
-        offset += len(names)
-        by_mode[mode] = SweepAggregate(
-            mode=mode, power_by_placement=placements, **fields
-        )
-    return SweepPointResult(
-        params=params,
-        software=by_mode["software"],
-        hardware=by_mode["hardware"],
-        ondemand=by_mode.get("ondemand"),
-    )
-
-
 def _with_seed(spec: ScenarioSweepSpec, seed: int) -> ScenarioSweepSpec:
     """The sweep spec with its fixed ``seed`` override replaced."""
     return dataclasses.replace(
         spec, fixed={**spec.fixed_dict(), "seed": seed}
     )
-
-
-def _run_replicated_task(
-    task: Tuple[int, int, ScenarioSweepSpec, Dict[str, object], bool]
-) -> Tuple[int, int, tuple]:
-    """One (replicate, grid point) unit of work, packed for transport.
-
-    Module-level so the pool can pickle it; the (rep, point) indices ride
-    along because the executor is unordered (work stealing)."""
-    rep_idx, pt_idx, spec, params, fastpath = task
-    point = _run_grid_point((spec, params, fastpath))
-    return rep_idx, pt_idx, _pack_point(point)
 
 
 @dataclass
@@ -1617,21 +1635,20 @@ def run_replicated(
     *,
     seeds: Optional[int] = None,
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
     fastpath: Optional[bool] = None,
     search: Optional[str] = None,
     **overrides,
 ) -> ReplicatedSweepResult:
     """Run a sweep K times with independent seeds (§9.4 with error bars).
 
-    The K × grid-points task list is flattened through one unordered,
-    chunked process pool — work stealing across both axes, so a slow grid
-    point on one seed does not serialize the other seeds — and each task
-    ships back only its packed aggregate (:func:`_pack_point`), never raw
-    series.  Per-seed results reassemble deterministically by (seed,
-    point) index: ``result.runs[i]`` is byte-identical to running
-    ``run_sweep`` serially with seed ``result.seeds[i]``, regardless of
-    worker count or completion order.
+    The K seeds are one plan — the seed axis on top of the grid — run by
+    :func:`run_sweep`'s executor: with ``workers`` > 1 every pinned DES
+    replay of every seed is one pool task, so a slow grid point on one
+    seed does not serialize the other seeds, and each task ships back
+    only its aggregate, never raw series.  Per-seed results reassemble
+    deterministically by (seed, point) index: ``result.runs[i]`` is
+    byte-identical to running ``run_sweep`` serially with seed
+    ``result.seeds[i]``, regardless of worker count or completion order.
 
     ``search="adaptive"`` brackets the crossovers once, on seed 0's
     analytic grid, and reuses the confirmed bracket as every later
@@ -1642,8 +1659,8 @@ def run_replicated(
     *set* — and therefore which fill points are analytic estimates —
     may differ from the standalone run's.
 
-    Keyword shortcuts (``seeds=``, ``workers=``, ``chunksize=``,
-    ``fastpath=``, ``search=``) override the corresponding
+    Keyword shortcuts (``seeds=``, ``workers=``, ``fastpath=``,
+    ``search=``) override the corresponding
     :class:`ReplicationSpec` fields; ``**overrides`` forward to the
     named sweep's factory exactly as in :func:`run_sweep`.
     """
@@ -1652,8 +1669,6 @@ def run_replicated(
         rep = dataclasses.replace(rep, seeds=seeds)
     if workers is not None:
         rep = dataclasses.replace(rep, workers=workers)
-    if chunksize is not None:
-        rep = dataclasses.replace(rep, chunksize=chunksize)
     if fastpath is not None:
         rep = dataclasses.replace(rep, fastpath=fastpath)
     if search is not None:
@@ -1674,10 +1689,6 @@ def run_replicated(
         # the sweep does not pin a seed: replicate around the scenario's
         # own default (read off the first materialized point)
         base_seed = _materialize(spec, grid[0]).seed
-    if rep.fastpath:
-        # eligibility is seed-independent, so the base grid stands in for
-        # every replicate's
-        _require_fastpath_eligibility(spec, grid)
     seed_list = replication_seeds(int(base_seed), rep.seeds)
     variants = [_with_seed(spec, s) for s in seed_list]
     if rep.search == "adaptive":
@@ -1699,44 +1710,7 @@ def run_replicated(
             if hints is None:
                 hints = hints_out
         return ReplicatedSweepResult(spec=spec, seeds=seed_list, runs=runs)
-    tasks = [
-        (rep_idx, pt_idx, variants[rep_idx], params, rep.fastpath)
-        for rep_idx in range(rep.seeds)
-        for pt_idx, params in enumerate(grid)
-    ]
-    packed: Dict[Tuple[int, int], tuple] = {}
-    if rep.workers is None or rep.workers == 1 or len(tasks) <= 1:
-        for task in tasks:
-            rep_idx, pt_idx, blob = _run_replicated_task(task)
-            packed[(rep_idx, pt_idx)] = blob
-    else:
-        chunksize = (
-            rep.chunksize
-            if rep.chunksize is not None
-            else _auto_chunksize(len(tasks), rep.workers)
-        )
-        pool = _get_pool(rep.workers)
-        _EXECUTOR_STATS["tasks_dispatched"] += len(tasks)
-        try:
-            for rep_idx, pt_idx, blob in pool.imap_unordered(
-                _run_replicated_task, tasks, chunksize=chunksize
-            ):
-                packed[(rep_idx, pt_idx)] = blob
-        except Exception:
-            shutdown_executor()
-            raise
-    des_points = _count_ineligible(spec, grid) if rep.fastpath else len(grid)
-    runs = [
-        ScenarioSweepResult(
-            spec=variants[rep_idx],
-            points=[
-                _unpack_point(*packed[(rep_idx, pt_idx)])
-                for pt_idx in range(len(grid))
-            ],
-            des_points_run=des_points,
-        )
-        for rep_idx in range(rep.seeds)
-    ]
+    runs = _run_grid(variants, grid, rep.fastpath, rep.workers)
     return ReplicatedSweepResult(spec=spec, seeds=seed_list, runs=runs)
 
 

@@ -10,6 +10,7 @@ def test_all_errors_derive_from_repro_error():
     for name in (
         "SimulationError",
         "ConfigurationError",
+        "ExecutorError",
         "CapacityError",
         "ProtocolError",
         "PlacementError",

@@ -2,9 +2,8 @@
 
 The contract under test: replication is *exact* — ``runs[0]`` is
 byte-identical to the unreplicated sweep, every ``runs[i]`` is
-byte-identical to a serial ``run_sweep`` with that seed pinned, and
-neither the worker count nor the work-stealing chunk size changes a
-single rendered byte.  On top of that sit the cross-seed reductions
+byte-identical to a serial ``run_sweep`` with that seed pinned, and the
+worker count does not change a single rendered byte.  On top of that sit the cross-seed reductions
 (mean ± 95% CI, tipping fractions) and their rendering.
 """
 
@@ -20,12 +19,6 @@ from repro.scenarios import (
     replication_seeds,
     run_replicated,
     run_sweep,
-)
-from repro.scenarios.sweep import (
-    SweepAggregate,
-    SweepPointResult,
-    _pack_point,
-    _unpack_point,
 )
 
 #: one grid point, short horizon: the cheapest real replicated DES run.
@@ -65,8 +58,6 @@ def test_replication_spec_validation():
         ReplicationSpec(seeds=0).validate()
     with pytest.raises(ConfigurationError):
         ReplicationSpec(workers=0).validate()
-    with pytest.raises(ConfigurationError):
-        ReplicationSpec(chunksize=0).validate()
     assert ReplicationSpec().validate().seeds == 8
 
 
@@ -93,58 +84,6 @@ def test_replicate_stats_empty_rejected():
         replicate_stats([])
 
 
-# -- compact transport -------------------------------------------------------
-
-
-def test_pack_point_roundtrip_is_exact():
-    def agg(mode, base):
-        return SweepAggregate(
-            mode=mode,
-            offered_pps=base + 1 / 3,
-            achieved_pps=base + 1 / 7,
-            total_power_w=base * math.pi,
-            p50_latency_us=base + 1e-13,
-            p99_latency_us=base * 1e6,
-            ops_per_watt=base / 9.999,
-            power_by_placement={"kvs0": base + 0.1, "kvs1": base + 0.2},
-        )
-
-    pt = SweepPointResult(
-        params={"rate_kpps": 8.0, "hosts": 2},
-        software=agg("software", 1.0),
-        hardware=agg("hardware", 2.0),
-        ondemand=agg("ondemand", 3.0),
-    )
-    restored = _unpack_point(*_pack_point(pt))
-    for mode in ("software", "hardware", "ondemand"):
-        a, b = getattr(pt, mode), getattr(restored, mode)
-        for f in ("offered_pps", "achieved_pps", "total_power_w",
-                  "p50_latency_us", "p99_latency_us", "ops_per_watt"):
-            assert getattr(a, f) == getattr(b, f)  # exact, not approx
-        assert a.power_by_placement == b.power_by_placement
-    assert restored.params == pt.params
-
-
-def test_pack_point_without_ondemand():
-    pt = SweepPointResult(
-        params={"rate_kpps": 8.0},
-        software=SweepAggregate(
-            mode="software", offered_pps=1, achieved_pps=1,
-            total_power_w=1, p50_latency_us=1, p99_latency_us=1,
-            ops_per_watt=1, power_by_placement={"kvs0": 1.0},
-        ),
-        hardware=SweepAggregate(
-            mode="hardware", offered_pps=2, achieved_pps=2,
-            total_power_w=2, p50_latency_us=2, p99_latency_us=2,
-            ops_per_watt=2, power_by_placement={"kvs0": 2.0},
-        ),
-        ondemand=None,
-    )
-    restored = _unpack_point(*_pack_point(pt))
-    assert restored.ondemand is None
-    assert restored.hardware.ops_per_watt == 2
-
-
 # -- byte identity -----------------------------------------------------------
 
 
@@ -164,10 +103,8 @@ def test_each_seed_matches_serial_run_sweep():
 def test_worker_count_and_chunksize_do_not_change_bytes():
     serial = run_replicated(_spec(), seeds=2)
     pooled = run_replicated(_spec(), seeds=2, workers=2)
-    chunked = run_replicated(_spec(), seeds=2, workers=2, chunksize=2)
     want = [run.render() for run in serial.runs]
     assert [run.render() for run in pooled.runs] == want
-    assert [run.render() for run in chunked.runs] == want
 
 
 # -- reductions and rendering ------------------------------------------------

@@ -1,18 +1,28 @@
 """The sweep executor internals: spec-materialization cache, persistent
-worker pool, chunked dispatch, and the fastpath eligibility precheck."""
+worker pool, chunked pin-level dispatch through the pool, a dead worker,
+and the fastpath eligibility precheck."""
+
+import os
+import threading
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExecutorError
 from repro.scenarios import (
+    ScenarioSweepSpec,
+    SweepAxis,
     build_sweep_spec,
     clear_spec_cache,
+    executor_stats,
+    reset_executor_stats,
     run_replicated,
     run_sweep,
     shutdown_executor,
     spec_cache_stats,
     spec_hash,
 )
+from repro.scenarios import fastpath as fastpath_module
+from repro.scenarios import sweep as sweep_module
 from repro.scenarios.sweep import _auto_chunksize, _get_pool, _materialize
 
 
@@ -129,6 +139,164 @@ def test_shutdown_executor_is_idempotent():
     _get_pool(2)
     shutdown_executor()
     shutdown_executor()
+
+
+# -- pin-level dispatch through the pool -------------------------------------
+
+#: One host per rack and a 0.1 s horizon: the adaptive search probes this
+#: grid in two DES waves, the last of which holds a single grid point.
+ADAPTIVE_FABRIC = dict(
+    racks=(1, 2),
+    hosts_per_rack=1,
+    rates_kpps=(16.0, 24.0, 32.0, 40.0, 48.0, 56.0),
+    duration_s=0.1,
+    keyspace=4_000,
+)
+
+
+def test_adaptive_pooled_matches_serial(monkeypatch):
+    spec = build_sweep_spec("sweep-fabric-scale", **ADAPTIVE_FABRIC)
+    waves = []
+    execute = sweep_module._execute
+
+    def recording(plan, workers):
+        results, replayed = execute(plan, workers)
+        if replayed:
+            waves.append(len(replayed))
+        return results, replayed
+
+    monkeypatch.setattr(sweep_module, "_execute", recording)
+    serial = run_sweep(spec, search="adaptive", workers=1)
+    serial_waves, waves[:] = list(waves), []
+    reset_executor_stats()
+    pooled = run_sweep(spec, search="adaptive", workers=2)
+    assert waves == serial_waves
+    assert waves[-1] == 1
+    # every DES point, the one-point wave's included, went to the pool
+    assert executor_stats()["tasks_dispatched"] == 2 * pooled.des_points_run
+    assert pooled.des_points_run == serial.des_points_run
+    assert pooled.tipping_points() == serial.tipping_points()
+    assert pooled.render() == serial.render()
+
+
+def hetero_sweeps():
+    """``(sweep, evaluator of its on-demand pins)`` pairs."""
+    registered = build_sweep_spec(
+        "sweep-rack-hetero",
+        rates_kpps=(8.0, 32.0),
+        duration_s=0.1,
+        keyspace=4_000,
+    )
+    # the registered grid's racks are homogeneous, so its on-demand pins
+    # replay the whole rack; a NetFPGA + NIC-only rack splits into a hybrid
+    mixed = ScenarioSweepSpec(
+        name="rack-hetero-mixed",
+        base="rack-hetero",
+        axes=(SweepAxis("rate_per_host_kpps", (8.0, 32.0)),),
+        fixed=dict(
+            registered.fixed_dict(), device_kinds=("netfpga-sume", "none")
+        ),
+    )
+    return [(registered, "des"), (mixed, "hybrid")]
+
+
+@pytest.mark.parametrize(
+    "spec,od_evaluator", hetero_sweeps(), ids=lambda v: getattr(v, "name", v)
+)
+def test_pooled_fastpath_renders_like_serial(spec, od_evaluator):
+    evaluators = {
+        task.evaluator
+        for task in sweep_module._plan([spec], spec.points(), True)
+        if task.mode == "ondemand"
+    }
+    assert evaluators == {od_evaluator}
+    serial = run_sweep(spec, fastpath=True)
+    pooled = run_sweep(spec, fastpath=True, workers=2)
+    assert pooled.render() == serial.render()
+
+
+def test_analytic_fastpath_sweep_never_touches_the_pool():
+    shutdown_executor()
+    reset_executor_stats()
+    spec = build_sweep_spec(
+        "sweep-fabric-scale", racks=(1, 2), rates_kpps=(8.0, 16.0)
+    )
+    result = run_sweep(spec, fastpath=True, workers=2)
+    assert result.des_points_run == 0
+    assert executor_stats() == {
+        "pool_creates": 0,
+        "pool_reuses": 0,
+        "tasks_dispatched": 0,
+    }
+
+
+def test_analytic_pins_are_answered_in_slices(monkeypatch):
+    spec = build_sweep_spec(
+        "sweep-fabric-scale",
+        racks=(1, 2),
+        rates_kpps=tuple(8.0 + i for i in range(5)),
+    )
+    whole = run_sweep(spec, fastpath=True).render()
+    calls = []
+    steady_grid = fastpath_module.steady_grid
+
+    def counting(specs, mode):
+        calls.append((mode, len(specs)))
+        return steady_grid(specs, mode)
+
+    monkeypatch.setattr(fastpath_module, "steady_grid", counting)
+    monkeypatch.setattr(sweep_module, "_ANALYTIC_SLICE", 4)
+    assert run_sweep(spec, fastpath=True).render() == whole
+    # one call per pin per slice of at most 4 grid points
+    assert calls == [("software", 4), ("hardware", 4)] * 2 + [
+        ("software", 2),
+        ("hardware", 2),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,overrides,pins",
+    [
+        # fabric-kvs has no on-demand drive: software + hardware
+        ("sweep-fabric-scale", dict(racks=(1,), rates_kpps=(8.0, 16.0)), 2),
+        # rack-kvs runs live controllers: software + hardware + on-demand
+        ("sweep-rack-kvs", dict(hosts=(1,), rates_kpps=(8.0, 16.0)), 3),
+    ],
+)
+def test_each_des_point_dispatches_one_task_per_pin(name, overrides, pins):
+    spec = build_sweep_spec(name, duration_s=0.05, keyspace=2_000, **overrides)
+    reset_executor_stats()
+    result = run_sweep(spec, workers=2)
+    assert result.des_points_run == len(spec.points())
+    assert executor_stats()["tasks_dispatched"] == pins * len(spec.points())
+
+
+def test_dead_worker_fails_the_sweep_instead_of_hanging(monkeypatch):
+    parent = os.getpid()
+
+    def exit_in_worker(spec, mode):
+        assert os.getpid() != parent, "a pooled sweep replayed in the parent"
+        os._exit(3)
+
+    shutdown_executor()  # the next pool forks with the patch in place
+    monkeypatch.setattr(sweep_module, "run_pinned", exit_in_worker)
+    outcome = {}
+
+    def sweep():
+        try:
+            run_sweep(tiny_sweep(), workers=2)
+        except Exception as exc:  # checked by the test's own thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=sweep, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "the sweep hung on a dead worker"
+    error = outcome.get("error")
+    assert isinstance(error, ExecutorError), error
+    assert "{'n_hosts': 1, 'rate_per_host_kpps': 8.0}" in str(error)
+    assert "software pin" in str(error)
+    assert sweep_module._POOL is None
 
 
 # -- the fastpath eligibility precheck (never-eligible sweeps refuse) -------
