@@ -209,12 +209,7 @@ def _print_perf_stats(result) -> None:
 
     runs = result.runs if hasattr(result, "runs") else [result]
     total = sum(run.grid_points_total for run in runs)
-    des = sum(
-        run.des_points_run
-        if run.des_points_run is not None
-        else run.grid_points_total
-        for run in runs
-    )
+    des = sum(run.des_points_run for run in runs)
     cache = spec_cache_stats()
     pool = executor_stats()
     lines = [
@@ -240,16 +235,12 @@ def _run_sweep_command(args) -> int:
         # run_sweep resolves exact case-insensitive spellings itself;
         # unknown names and rejected overrides raise with the full message
         if args.seeds is not None and args.seeds != 1:
-            if anchors:
-                raise ConfigurationError(
-                    "--anchor applies to single adaptive runs; replicated "
-                    "sweeps re-validate every seed's bracket already"
-                )
             replicated = run_replicated(
                 name,
                 seeds=args.seeds,
                 workers=args.workers,
                 search=args.search,
+                anchors=anchors,
                 **overrides,
             )
             print(replicated.render())
@@ -342,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="AXIS=VALUE[,AXIS=VALUE]",
         default=None,
-        help="with --search adaptive: grid points matching these axis "
-        "values always replay the DES (repeatable)",
+        help="grid points of --sweep matching these axis values always "
+        "replay the DES, under either --search and with --seeds "
+        "(repeatable)",
     )
     parser.add_argument(
         "--perf-stats",

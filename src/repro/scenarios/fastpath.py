@@ -249,130 +249,24 @@ def _uplink_direction_loads(
     return up, down
 
 
-def _host_models(host, mode: str):
-    """(power_at(pps), capacity_pps, latency_at(pps)) for one host+mode."""
-    software = memcached_model()
-    if mode == "software" or not host.device.is_offload:
-        # the software pin (and a NIC-only host under the hardware pin,
-        # which has nothing to shift to).  power_save holds a present card
-        # in its standby configuration: the card replaces the NIC, so the
-        # host curve loses the NIC idle share and gains the standby draw.
-        if host.device.is_offload and host.power_save:
-            profile = get_device(host.device.kind)
-            standby_w = profile.standby_power_w("kvs")
-
-            def power_at(pps: float) -> float:
-                return (
-                    software.power_at(pps)
-                    - cal.NIC_MELLANOX_CX311A_IDLE_W
-                    + standby_w
-                )
-
-            return power_at, software.capacity_pps, software.latency_at
-        return software.power_at, software.capacity_pps, software.latency_at
-    hardware = device_hardware_model("kvs", host.device.kind)
-    return hardware.power_at, hardware.capacity_pps, hardware.latency_at
-
-
 def steady_point(
     spec: ScenarioSpec,
     mode: str,
     host_indices: Optional[Sequence[int]] = None,
 ) -> SteadyEstimate:
-    """Analytic aggregate for one pinned mode of an eligible scenario.
-
-    ``host_indices`` restricts the estimate to a subset of the rack's
-    hosts (the per-placement fast path: analytics for the pinned hosts of
-    a mixed rack while the shifting ones run DES).  Rates always come from
-    the **full** rack's shard split, so the subset estimate composes
-    exactly with the residual sub-rack's DES aggregate.
-
-    On a fabric spec, placement keys are rack-qualified (matching the
-    builder's ``power_by_placement`` spelling) and every cross-rack host
-    additionally pays the four-traversal analytic uplink adder on latency
-    plus the bottleneck direction's throughput cap — see
-    :mod:`repro.steady.fabric` for the model and its validity envelope.
-    """
-    if mode not in _FASTPATH_MODES:
-        raise ConfigurationError(
-            f"fast path answers {', '.join(_FASTPATH_MODES)}; got {mode!r}"
-        )
-    if host_indices is None:
-        if not steady_eligible(spec):
-            raise ConfigurationError(
-                f"scenario {spec.name!r} is not steady-state eligible "
-                "(see scenarios.fastpath.steady_eligible)"
-            )
-        host_indices = range(len(spec.kvs_hosts))
-    else:
-        if not _rack_steady_shape(spec):
-            raise ConfigurationError(
-                f"scenario {spec.name!r} is not a rate-constant KVS rack"
-            )
-        for i in host_indices:
-            if not host_steady_eligible(spec.kvs_hosts[i]):
-                raise ConfigurationError(
-                    f"host {spec.kvs_hosts[i].name!r} is not steady-state "
-                    "eligible (live controller or co-located job)"
-                )
-    rates = _per_host_rates(spec)
-    selected = [(spec.kvs_hosts[i], rates[i]) for i in host_indices]
-    total_offered = sum(rate for _, rate in selected)
-    fabric = spec.fabric
-    if fabric is not None:
-        uplink = _fabric_uplink_model(spec)
-        up_loads, down_loads = _uplink_direction_loads(spec, rates)
-    achieved = 0.0
-    power_by_placement: Dict[str, float] = {}
-    latencies: List[Tuple[float, float]] = []  # (served share, latency)
-    for host, rate in selected:
-        power_at, capacity, latency_at = _host_models(host, mode)
-        served = min(rate, capacity)
-        latency = latency_at(rate)
-        key = host.name
-        if fabric is not None:
-            host_rack, client_rack = _host_racks(spec, host)
-            key = rack_qualified(host_rack, host.name)
-            if client_rack != host_rack:
-                # request: client-rack up, host-rack down; response:
-                # host-rack up, client-rack down — four traversals, each
-                # at its own direction's offered load
-                directions = (
-                    up_loads[client_rack],
-                    down_loads[host_rack],
-                    up_loads[host_rack],
-                    down_loads[client_rack],
-                )
-                latency += sum(uplink.crossing_us(load) for load in directions)
-                served *= min(
-                    uplink.throughput_factor(load) for load in directions
-                )
-        achieved += served
-        power_by_placement[key] = power_at(rate)
-        latencies.append((served, latency))
-    total_power = sum(power_by_placement.values())
-    total_served = sum(share for share, _ in latencies) or 1.0
-    # the rack-level "median" of per-host flat medians: served-weighted
-    p50 = sum(share * lat for share, lat in latencies) / total_served
-    return SteadyEstimate(
-        mode=mode,
-        offered_pps=total_offered,
-        achieved_pps=achieved,
-        total_power_w=total_power,
-        p50_latency_us=p50,
-        p99_latency_us=p50,  # steady curves model medians only
-        ops_per_watt=achieved / total_power if total_power > 0 else 0.0,
-        power_by_placement=power_by_placement,
-    )
+    """Analytic aggregate for one pinned mode of an eligible scenario:
+    :func:`steady_grid` over the one spec (see there for ``host_indices``
+    and the fabric terms)."""
+    return steady_grid([spec], mode, host_indices)[0]
 
 
 @lru_cache(maxsize=128)
 def _grid_host_constants(
     device_kind: str, is_offload: bool, power_save: bool, mode: str
 ) -> Tuple:
-    """The scalar constants :func:`_host_models`' closures close over,
-    flattened for the array kernels and memoized per (device kind, mode):
-    a sweep grid re-derives each model family once, not once per point.
+    """The scalar constants of one host's steady curve, flattened for the
+    array kernels and memoized per (device kind, mode): a sweep grid
+    re-derives each model family once, not once per point.
 
     Returns ``("software", capacity, idle, span, alpha, poly_w, poly_exp,
     sub_w, add_w, base_latency_us)`` or ``("hardware", capacity, fixed_w,
@@ -409,30 +303,39 @@ def _grid_host_constants(
 
 
 def steady_grid(
-    specs: Sequence[ScenarioSpec], mode: str
+    specs: Sequence[ScenarioSpec],
+    mode: str,
+    host_indices: Optional[Sequence[int]] = None,
 ) -> List[SteadyEstimate]:
-    """Batched :func:`steady_point`: one vectorized pass over many
-    eligible specs (a sweep grid's pinned variants), identical output.
+    """The steady model: one pass over many eligible specs (a sweep
+    grid's pinned variants) for one pinned mode.
 
     The grid is flattened into struct-of-arrays host records — offered
     rate plus the memoized per-device model constants — and evaluated
-    through the array kernels of :mod:`repro.steady.grid`; cross-rack
-    hosts of fabric specs additionally gather their four uplink-direction
-    loads for the batched M/D/1 adder.  Per-spec reductions (achieved
-    sum, wall-power sum, the served-weighted p50) stay in python, in host
-    order, so every returned :class:`SteadyEstimate` is byte-identical to
-    ``steady_point(spec, mode)``.
+    through the array kernels of :mod:`repro.steady.grid` (numpy, or
+    their pure-python branches without it); cross-rack hosts of fabric
+    specs additionally gather their four uplink-direction loads for the
+    batched M/D/1 adder.  Per-spec reductions (achieved sum, wall-power
+    sum, the served-weighted p50) stay in python, in host order, so a
+    spec's estimate does not depend on the batch it was answered in.
 
-    Without numpy (or under ``REPRO_PURE_PYTHON=1``) the fallback *is*
-    the per-point loop — identity by construction.
+    ``host_indices`` restricts every estimate to a subset of its rack's
+    hosts (the per-placement fast path: analytics for the pinned hosts of
+    a mixed rack while the shifting ones run DES).  Rates always come
+    from the **full** rack's shard split, so the subset estimate composes
+    exactly with the residual sub-rack's DES aggregate.
+
+    On a fabric spec, placement keys are rack-qualified (matching the
+    builder's ``power_by_placement`` spelling) and every cross-rack host
+    additionally pays the four-traversal analytic uplink adder on latency
+    plus the bottleneck direction's throughput cap — see
+    :mod:`repro.steady.fabric` for the model and its validity envelope.
     """
     if mode not in _FASTPATH_MODES:
         raise ConfigurationError(
             f"fast path answers {', '.join(_FASTPATH_MODES)}; got {mode!r}"
         )
     specs = list(specs)
-    if not steady_grid_kernels.have_numpy():
-        return [steady_point(spec, mode) for spec in specs]
     # -- flatten: one record per (spec, host) --------------------------------
     flat_rate: List[float] = []
     sw_slots: List[int] = []
@@ -445,9 +348,17 @@ def steady_grid(
     cross_lat: List[float] = []
     cross_ser: List[float] = []
     cross_cap: List[float] = []
-    layouts = []  # per spec: (slot_lo, rates, placement keys)
+    layouts = []  # per spec: (slot_lo, offered rates, placement keys)
     for spec in specs:
-        if not steady_eligible(spec):
+        if host_indices is None:
+            indices = range(len(spec.kvs_hosts))
+            eligible = steady_eligible(spec)
+        else:
+            indices = host_indices
+            eligible = _rack_steady_shape(spec) and all(
+                host_steady_eligible(spec.kvs_hosts[i]) for i in indices
+            )
+        if not eligible:
             raise ConfigurationError(
                 f"scenario {spec.name!r} is not steady-state eligible "
                 "(see scenarios.fastpath.steady_eligible)"
@@ -461,7 +372,8 @@ def steady_grid(
             up_loads, down_loads = _uplink_direction_loads(spec, rates)
         slot_lo = len(flat_rate)
         keys = []
-        for i, host in enumerate(spec.kvs_hosts):
+        for i in indices:
+            host = spec.kvs_hosts[i]
             slot = len(flat_rate)
             flat_rate.append(rates[i])
             constants = _grid_host_constants(
@@ -496,7 +408,7 @@ def steady_grid(
                     cross_ser.append(serialization_us)
                     cross_cap.append(capacity_pps)
             keys.append(key)
-        layouts.append((slot_lo, rates, keys))
+        layouts.append((slot_lo, [rates[i] for i in indices], keys))
     # -- evaluate the flattened records through the array kernels ------------
     n = len(flat_rate)
     power = [0.0] * n
@@ -551,11 +463,11 @@ def steady_grid(
             ) + crossings[3][j]
             latency[slot] = latency[slot] + adder
             served[slot] = served[slot] * min(f[j] for f in factors)
-    # -- per-spec reductions, python-ordered like steady_point ---------------
+    # -- per-spec reductions, in host order ----------------------------------
     estimates = []
-    for spec, (slot_lo, rates, keys) in zip(specs, layouts):
+    for slot_lo, offered, keys in layouts:
         slots = range(slot_lo, slot_lo + len(keys))
-        total_offered = sum(rates)
+        total_offered = sum(offered)
         achieved = sum(served[s] for s in slots)
         power_by_placement = {
             key: power[s] for key, s in zip(keys, slots)

@@ -235,6 +235,13 @@ class TippingPoint:
     monotone: bool = True
 
 
+#: The footnote under a point table whose ``~`` cells are estimates.
+_ESTIMATE_NOTE = (
+    "~ analytic steady-state estimate (adaptive search; "
+    "point not DES-replayed)"
+)
+
+
 @dataclass
 class ScenarioSweepResult:
     """Every grid point of a sweep, plus the tipping-point reduction.
@@ -244,18 +251,13 @@ class ScenarioSweepResult:
     bracketed crossovers, analytic aggregates elsewhere).
     ``des_points_run`` counts the grid points whose pinned brackets
     replayed the DES — the savings counter ``des_points_run /
-    grid_points_total`` the adaptive mode reports.  An adaptive run also
-    stores its DES-confirmed crossover rows in ``tipping_rows``;
-    :meth:`tipping_points` returns those instead of rescanning the mixed
-    DES/analytic point list (the analytic fills are estimates and must not
-    vote in the crossover scan).
+    grid_points_total`` the adaptive mode reports.
     """
 
     spec: ScenarioSweepSpec
     points: List[SweepPointResult]
     search: str = "exhaustive"
     des_points_run: Optional[int] = None
-    tipping_rows: Optional[List[TippingPoint]] = None
 
     @property
     def grid_points_total(self) -> int:
@@ -268,27 +270,23 @@ class ScenarioSweepResult:
         raise KeyError(params)
 
     def tipping_points(self) -> List[TippingPoint]:
-        """One crossover search per setting of the non-ramp axes."""
-        if self.tipping_rows is not None:
-            return list(self.tipping_rows)
+        """One crossover scan per setting of the non-ramp axes, in ramp
+        order (:meth:`ScenarioSweepSpec.ramp_groups`).
+
+        Points flagged ``estimated`` do not vote: the scan sees only the
+        measured points.  On an adaptive result that is exactly the
+        search's DES-confirmed row — no DES win precedes the crossover, a
+        DES loss sits right before it, and a later DES loss would have
+        sent the group to a full replay.
+        """
         axis = self.spec.resolved_tip_axis()
-        other_params = [a.param for a in self.spec.axes if a.param != axis]
-        groups: Dict[Tuple, List[SweepPointResult]] = {}
-        for pt in self.points:
-            key = tuple(pt.params[p] for p in other_params)
-            groups.setdefault(key, []).append(pt)
-        rows = []
-        for key, pts in groups.items():
-            # scan in ramp order even when the axis was declared descending
-            # (non-comparable axis values fall back to declaration order)
-            try:
-                pts = sorted(pts, key=lambda pt: pt.params[axis])
-            except TypeError:
-                pass
-            rows.append(
-                _scan_tipping_group(dict(zip(other_params, key)), axis, pts)
+        pts = self.points
+        return [
+            _scan_tipping_group(
+                fixed, axis, [pts[i] for i in indices if not pts[i].estimated]
             )
-        return rows
+            for fixed, indices in self.spec.ramp_groups()
+        ]
 
     # -- reporting -----------------------------------------------------------
 
@@ -336,10 +334,7 @@ class ScenarioSweepResult:
             rows.append(row)
         lines.append(format_table(headers, rows))
         if any(pt.estimated for pt in self.points):
-            lines.append(
-                "~ analytic steady-state estimate (adaptive search; "
-                "point not DES-replayed)"
-            )
+            lines.append(_ESTIMATE_NOTE)
         lines.append("")
         axis = self.spec.resolved_tip_axis()
         lines.append(
@@ -409,11 +404,6 @@ _VARIANTS = {
     "hardware": hardware_variant,
     "ondemand": ondemand_variant,
 }
-
-
-def run_point(spec: ScenarioSpec, hardware: bool) -> Tuple[ScenarioRun, ScenarioResult]:
-    """Build and execute one pinned variant of a scenario point."""
-    return run_pinned(spec, "hardware" if hardware else "software")
 
 
 def run_pinned(spec: ScenarioSpec, mode: str) -> Tuple[ScenarioRun, ScenarioResult]:
@@ -632,18 +622,17 @@ def _pin_tasks(
     key: Tuple[int, int],
     params: Dict[str, object],
     scenario: ScenarioSpec,
-    fastpath: bool,
+    software: Optional[ScenarioSpec] = None,
 ) -> List[PinTask]:
-    """The pins of one grid point.  Under ``fastpath`` the steady curves
-    answer a steady-state-eligible point's static pins.  The on-demand
-    pin exists only when something can shift; on an analytic point whose
-    rack splits (:func:`~repro.scenarios.fastpath.split_steady`) it is a
-    hybrid, else a full DES replay."""
-    from .fastpath import split_steady, steady_eligible
+    """The pins of one grid point.  ``software`` is the point's software
+    variant when the steady curves answer its static pins, else None (a
+    full DES replay).  The on-demand pin exists only when something can
+    shift; on an analytic point whose rack splits
+    (:func:`~repro.scenarios.fastpath.split_steady`) it is a hybrid, else
+    a full DES replay."""
+    from .fastpath import split_steady
 
-    software = software_variant(scenario) if fastpath else None
-    analytic = software is not None and steady_eligible(software)
-    if analytic:
+    if software is not None:
         tasks = [
             PinTask(key, params, "software", "analytic", software),
             PinTask(
@@ -656,7 +645,7 @@ def _pin_tasks(
         ]
     if _has_ondemand_drive(scenario):
         evaluator = "des"
-        if analytic:
+        if software is not None:
             indices, residual = split_steady(ondemand_variant(scenario))
             if indices and residual is not None:
                 evaluator = "hybrid"
@@ -668,28 +657,39 @@ def _plan(
     sweeps: Sequence[ScenarioSweepSpec],
     grid: Sequence[Dict[str, object]],
     fastpath: bool,
+    anchors: Sequence[Dict[str, object]] = (),
 ) -> Iterator[PinTask]:
     """Every pin of every grid point of each replicate sweep, in
     replicate-major grid order (see :func:`_pin_tasks`).
+
+    The policy: everything replays the DES, except that under
+    ``fastpath`` the steady curves answer the static pins of every
+    steady-state-eligible point that no anchor names.
 
     A generator: the executor answers analytic slices while the plan is
     still being materialized, so only one slice of specs is alive at a
     time.  A fastpath plan with no eligible point raises at its end,
     before anything replays — it would silently run the full DES."""
-    answered = False
+    from .fastpath import steady_eligible
+
+    eligible = False
     for rep, sweep in enumerate(sweeps):
         for i, params in enumerate(grid):
-            tasks = _pin_tasks(
-                (rep, i), params, _materialize(sweep, params), fastpath
-            )
-            answered = answered or tasks[0].evaluator == "analytic"
-            yield from tasks
-    if fastpath and not answered:
+            scenario = _materialize(sweep, params)
+            software = software_variant(scenario) if fastpath else None
+            if software is not None and not steady_eligible(software):
+                software = None
+            eligible = eligible or software is not None
+            if software is not None and _matches_anchors(params, anchors):
+                software = None
+            yield from _pin_tasks((rep, i), params, scenario, software)
+    if fastpath and not eligible:
         raise ConfigurationError(
-            f"sweep {sweeps[0].name!r} over {sweeps[0].base!r}: fastpath="
-            "True, but no grid point is steady-state eligible — every point "
-            "would silently run the full DES; drop fastpath=True or sweep "
-            "an eligible scenario (see "
+            f"sweep {sweeps[0].name!r} over {sweeps[0].base!r}: "
+            "no grid point is steady-state eligible, so fastpath=True and "
+            "search='adaptive' have no analytic grid — every point would "
+            "silently run the full DES; use the exhaustive DES search or "
+            "sweep an eligible scenario (see "
             "repro.scenarios.fastpath.steady_eligible)"
         )
 
@@ -918,27 +918,6 @@ def _execute(
     return results, {t.key for t in replays if t.mode == "software"}
 
 
-def _run_grid(
-    sweeps: Sequence[ScenarioSweepSpec],
-    grid: Sequence[Dict[str, object]],
-    fastpath: bool,
-    workers: Optional[int],
-) -> List[ScenarioSweepResult]:
-    """Plan, execute and reduce every grid point of each replicate sweep."""
-    results, replayed = _execute(_plan(sweeps, grid, fastpath), workers)
-    return [
-        ScenarioSweepResult(
-            spec=sweep,
-            points=[
-                _point_result(params, results[(rep, i)])
-                for i, params in enumerate(grid)
-            ],
-            des_points_run=sum(1 for r, _ in replayed if r == rep),
-        )
-        for rep, sweep in enumerate(sweeps)
-    ]
-
-
 _SEARCH_MODES = ("exhaustive", "adaptive")
 
 
@@ -1018,7 +997,7 @@ def _scan_tipping_group(
     axis: str,
     pts: Sequence[SweepPointResult],
 ) -> TippingPoint:
-    """The crossover scan over one fully-evaluated ramp group, in ramp
+    """The crossover scan over one ramp group's measured points, in ramp
     order (:meth:`ScenarioSweepResult.tipping_points` runs it per group)."""
     crossover = None
     sw_opw = hw_opw = od_opw = None
@@ -1046,68 +1025,53 @@ def _scan_tipping_group(
     )
 
 
-def _run_adaptive(
-    spec: ScenarioSweepSpec,
+def _adapt(
+    sweep: ScenarioSweepSpec,
     grid: Sequence[Dict[str, object]],
     workers: Optional[int],
-    anchors: Sequence[Dict[str, object]] = (),
-    bracket_hints: Optional[Dict[int, Optional[int]]] = None,
-    hints_out: Optional[Dict[int, Optional[int]]] = None,
-) -> ScenarioSweepResult:
-    """The adaptive crossover search: analytic grid, calibrated brackets,
-    DES only at the decision boundary.
+    anchors: Sequence[Dict[str, object]],
+    hints: Optional[Dict[int, Optional[int]]],
+) -> Tuple[ScenarioSweepResult, Dict[int, Optional[int]]]:
+    """The adaptive crossover search: the incremental planner that adds
+    DES probes until each ramp group's crossover is confirmed.
 
-    One vectorized pass per pin (:func:`repro.scenarios.fastpath.steady_grid`)
-    answers the analytic ops/W margin ``hw − sw`` at every eligible grid
-    point.  The analytic margin has the right *shape* but a finite-replay
-    bias against the DES (the fast-path tolerance, a few percent — enough
-    to flip the winner where the pins are close), so each ramp group's
+    Its analytic pass is the analytic pins of the fastpath plan
+    (:func:`_plan`): one vectorized
+    :func:`repro.scenarios.fastpath.steady_grid` call per pin answers the
+    analytic ops/W margin ``hw − sw`` at every eligible grid point.  The
+    analytic margin has the right *shape* but a finite-replay bias
+    against the DES (the fast-path tolerance, a few percent — enough to
+    flip the winner where the pins are close), so each ramp group's
     crossover is located on the **calibrated** margin: every DES probe
     contributes a bias sample ``margin_DES − margin_analytic`` at its ramp
     position, pooled across groups (the grid is a full product, so groups
     share ramp positions) and interpolated linearly across positions.  A
     group converges when its first predicted win is DES-confirmed **and**
-    the preceding ramp value is a DES-confirmed loss — the reported
-    crossover row is built from real replays only, identical to the
-    exhaustive row under the paper's monotone-crossover premise (§8: once
-    hardware wins it keeps winning along the ramp).  Any probe that
-    contradicts that premise (a DES loss above a DES-confirmed win)
-    demotes its whole group to exhaustive DES, which reproduces the
-    non-monotone row exactly.  Never-tipping groups DES-confirm only the
-    last ramp value; groups with ineligible points (and user-anchored
-    points) replay the DES outright.
+    the preceding ramp value is a DES-confirmed loss — so the result's
+    tipping scan over the probed points reports the exhaustive row under
+    the paper's monotone-crossover premise (§8: once hardware wins it
+    keeps winning along the ramp).  Any probe that contradicts that
+    premise (a DES loss above a DES-confirmed win) demotes its whole
+    group to exhaustive DES, which reproduces the non-monotone row
+    exactly.  Never-tipping groups DES-confirm only the last ramp value;
+    groups with ineligible points (and anchored points) replay the DES
+    outright.
 
     Unprobed points carry the analytic aggregates, flagged
     ``estimated=True`` (the on-demand column is filled only where nothing
-    could shift); the DES-confirmed rows are stored on the result so the
-    tipping reduction never consults the estimates.
+    could shift), so the tipping scan never consults them.
 
-    ``bracket_hints`` seeds each group's initial probe position
+    ``hints`` seeds each group's initial probe position
     (:func:`run_replicated` brackets once on seed 0 and DES-validates the
-    bracket per replicate seed); ``hints_out``, when given, receives this
-    run's confirmed crossover positions in the same shape.
+    bracket per replicate seed).  Returns the result plus this run's
+    confirmed crossover positions, in the same shape.
     """
-    scenarios = [_materialize(spec, params) for params in grid]
-    from .fastpath import steady_eligible
-
-    eligible = [steady_eligible(software_variant(sc)) for sc in scenarios]
-    if not any(eligible):
-        raise ConfigurationError(
-            f"sweep {spec.name!r} over {spec.base!r}: search='adaptive', "
-            "but no grid point is steady-state eligible — there is no "
-            "analytic grid to bracket crossovers on; use the exhaustive "
-            "search (see repro.scenarios.fastpath.steady_eligible)"
-        )
-    _validate_anchors(spec, anchors)
-    # the executor answers every eligible point's static pins analytically
+    scenarios = [_materialize(sweep, params) for params in grid]
     analytic, _ = _execute(
         (
-            PinTask(
-                (0, i), grid[i], mode, "analytic", _VARIANTS[mode](scenarios[i])
-            )
-            for i in range(len(grid))
-            if eligible[i]
-            for mode in _STATIC_PINS
+            task
+            for task in _plan([sweep], grid, fastpath=True)
+            if task.evaluator == "analytic"
         ),
         workers,
     )
@@ -1115,17 +1079,17 @@ def _run_adaptive(
         i: pins["hardware"].ops_per_watt - pins["software"].ops_per_watt
         for (_, i), pins in analytic.items()
     }
-    groups = spec.ramp_groups()
+    groups = sweep.ramp_groups()
     adaptive_groups = [
         (g, indices)
         for g, (_, indices) in enumerate(groups)
-        if all(eligible[i] for i in indices)
+        if all(i in margin_a for i in indices)
     ]
     demoted: set = set()  # groups that fell back to exhaustive DES
     pending = {
         i
         for _, indices in groups
-        if not all(eligible[j] for j in indices)
+        if not all(j in margin_a for j in indices)
         for i in indices
     }
     pending.update(
@@ -1134,8 +1098,8 @@ def _run_adaptive(
         if _matches_anchors(params, anchors)
     )
     for g, indices in adaptive_groups:
-        if bracket_hints is not None and g in bracket_hints:
-            k = bracket_hints[g]
+        if hints is not None and g in hints:
+            k = hints[g]
         elif (g, indices) == adaptive_groups[0]:
             # seed only the first group: its ramp endpoints calibrate the
             # pooled bias across the whole ramp (linear in position), and
@@ -1216,7 +1180,7 @@ def _run_adaptive(
                 (
                     task
                     for i in todo
-                    for task in _pin_tasks((0, i), grid[i], scenarios[i], False)
+                    for task in _pin_tasks((0, i), grid[i], scenarios[i])
                 ),
                 workers,
             )
@@ -1249,46 +1213,6 @@ def _run_adaptive(
                 pending.add(indices[k_eff - 1])
         if not pending:
             break
-    # DES-confirmed rows, in the tipping scan's group order
-    rows: List[TippingPoint] = []
-    axis = spec.resolved_tip_axis()
-    adaptive_by_g = dict(adaptive_groups)
-    final_pos: Dict[int, Optional[int]] = {}
-    for g, (fixed, indices) in enumerate(groups):
-        fully_probed = all(i in probed for i in indices)
-        if g not in adaptive_by_g or (fully_probed and g in demoted):
-            rows.append(
-                _scan_tipping_group(fixed, axis, [probed[i] for i in indices])
-            )
-            if g in adaptive_by_g:
-                flags = [probed[i].hardware_wins for i in indices]
-                final_pos[g] = flags.index(True) if any(flags) else None
-            continue
-        w = _first_win(g, indices)
-        final_pos[g] = w
-        if w is None:
-            rows.append(
-                TippingPoint(fixed=dict(fixed), axis=axis, crossover=None)
-            )
-            continue
-        pt = probed[indices[w]]
-        rows.append(
-            TippingPoint(
-                fixed=dict(fixed),
-                axis=axis,
-                crossover=pt.params[axis],
-                sw_ops_per_watt=pt.software.ops_per_watt,
-                hw_ops_per_watt=pt.hardware.ops_per_watt,
-                od_ops_per_watt=(
-                    pt.ondemand.ops_per_watt
-                    if pt.ondemand is not None
-                    else None
-                ),
-                monotone=True,
-            )
-        )
-    if hints_out is not None:
-        hints_out.update(final_pos)
     points = []
     for i, params in enumerate(grid):
         if i in probed:
@@ -1310,13 +1234,83 @@ def _run_adaptive(
                 estimated=True,
             )
         )
-    return ScenarioSweepResult(
-        spec=spec,
-        points=points,
-        search="adaptive",
-        des_points_run=len(probed),
-        tipping_rows=rows,
+    # each group's first DES win: where later seeds start their walk
+    found = {}
+    for g, indices in adaptive_groups:
+        wins = [
+            pos for pos, i in enumerate(indices)
+            if i in probed and probed[i].hardware_wins
+        ]
+        found[g] = wins[0] if wins else None
+    result = ScenarioSweepResult(
+        spec=sweep, points=points, search="adaptive", des_points_run=len(probed)
     )
+    return result, found
+
+
+def _run(
+    sweeps: Sequence[ScenarioSweepSpec],
+    workers: Optional[int],
+    fastpath: bool,
+    search: str,
+    anchors: Sequence[Dict[str, object]],
+) -> List[ScenarioSweepResult]:
+    """The one sweep pipeline: plan, execute, reduce — one result per
+    replicate sweep of the seed axis (:func:`run_sweep` is K=1).
+
+    The exhaustive search executes one :func:`_plan` over every
+    replicate.  The adaptive search implies ``fastpath`` and runs the
+    incremental planner :func:`_adapt` seed by seed: seed 0 brackets on
+    its analytic grid, and every later seed starts its walk from seed 0's
+    confirmed crossovers.  Anchored points replay the DES under either
+    search.
+    """
+    if workers is not None and workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if search not in _SEARCH_MODES:
+        raise ConfigurationError(
+            f"unknown search mode {search!r}; choose "
+            f"{', '.join(_SEARCH_MODES)}"
+        )
+    _validate_anchors(sweeps[0], anchors)
+    grid = sweeps[0].points()
+    if search == "adaptive":
+        runs: List[ScenarioSweepResult] = []
+        hints = None
+        for sweep in sweeps:
+            run, found = _adapt(sweep, grid, workers, anchors, hints)
+            runs.append(run)
+            if hints is None:
+                hints = found
+        return runs
+    results, replayed = _execute(
+        _plan(sweeps, grid, fastpath, anchors), workers
+    )
+    return [
+        ScenarioSweepResult(
+            spec=sweep,
+            points=[
+                _point_result(params, results[(rep, i)])
+                for i, params in enumerate(grid)
+            ],
+            des_points_run=sum(1 for r, _ in replayed if r == rep),
+        )
+        for rep, sweep in enumerate(sweeps)
+    ]
+
+
+def _resolve(
+    sweep: Union[str, ScenarioSweepSpec], overrides: Dict[str, object]
+) -> ScenarioSweepSpec:
+    """A named sweep built with its factory ``overrides``, or an explicit
+    spec (which takes none), validated."""
+    if isinstance(sweep, ScenarioSweepSpec):
+        if overrides:
+            raise ConfigurationError(
+                "overrides apply to named sweeps; pass an adjusted spec instead"
+            )
+        return sweep.validate()
+    return build_sweep_spec(sweep, **overrides).validate()
 
 
 def run_sweep(
@@ -1353,45 +1347,21 @@ def run_sweep(
 
     ``search="adaptive"`` brackets each ramp group's sw/hw crossover on
     the vectorized analytic grid and replays the full DES only at the
-    bracketing points (plus any ``anchors`` — mappings of axis values
-    that must always replay), walking the bracket until the crossover is
+    bracketing points, walking the bracket until the crossover is
     DES-confirmed on both sides; every other point carries analytic
-    aggregates.  The tipping rows are the ones the exhaustive search
-    reports whenever the analytic win flags agree with the DES away from
-    the bracket (the walk re-probes every disagreement it meets), and
+    aggregates flagged ``estimated``.  It implies ``fastpath``.  The
+    tipping rows are the ones the exhaustive search reports whenever the
+    analytic win flags agree with the DES away from the bracket (the walk
+    re-probes every disagreement it meets), and
     ``result.des_points_run / result.grid_points_total`` is the savings
     counter.
+
+    ``anchors`` — mappings of axis values — name grid points that always
+    replay the full DES, under either search.
     """
-    if isinstance(sweep, ScenarioSweepSpec):
-        if overrides:
-            raise ConfigurationError(
-                "overrides apply to named sweeps; pass an adjusted spec instead"
-            )
-        spec = sweep
-    else:
-        spec = build_sweep_spec(sweep, **overrides)
-    spec.validate()
-    if workers is not None and workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if search not in _SEARCH_MODES:
-        raise ConfigurationError(
-            f"unknown search mode {search!r}; choose "
-            f"{', '.join(_SEARCH_MODES)}"
-        )
-    if anchors and search != "adaptive":
-        raise ConfigurationError(
-            "anchors apply to search='adaptive' (the exhaustive search "
-            "replays every grid point anyway)"
-        )
-    grid = spec.points()
-    if search == "adaptive":
-        if fastpath:
-            raise ConfigurationError(
-                "fastpath=True is redundant under search='adaptive' (un"
-                "probed points are already analytic); choose one of the two"
-            )
-        return _run_adaptive(spec, grid, workers, anchors=anchors)
-    return _run_grid([spec], grid, fastpath, workers)[0]
+    return _run(
+        [_resolve(sweep, overrides)], workers, fastpath, search, anchors
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1415,48 +1385,6 @@ def replication_seeds(base_seed: int, k: int) -> List[int]:
         digest = hashlib.sha256(f"{base_seed}:replicate:{i}".encode()).digest()
         seeds.append(int.from_bytes(digest[:8], "big"))
     return seeds
-
-
-@dataclass(frozen=True)
-class ReplicationSpec:
-    """How to replicate a sweep: K seeds per grid point.
-
-    ``workers`` fans the pinned DES replays of all K × points over the
-    persistent process pool, one replay per task, in chunks sized from
-    the task and worker counts (:func:`_auto_chunksize`).  ``fastpath``
-    forwards to :func:`run_sweep`'s steady-state analytics.
-    ``search="adaptive"`` brackets the crossovers once on seed 0's
-    analytic grid and DES-validates the bracket per replicate seed (each
-    seed's tipping rows are its own DES-confirmed ones; later seeds just
-    start the walk from seed 0's answer instead of re-deriving the
-    bracket).
-    """
-
-    seeds: int = 8
-    workers: Optional[int] = None
-    fastpath: bool = False
-    search: str = "exhaustive"
-
-    def validate(self) -> "ReplicationSpec":
-        if self.seeds < 1:
-            raise ConfigurationError(
-                f"replication needs >= 1 seed, got {self.seeds}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
-            )
-        if self.search not in _SEARCH_MODES:
-            raise ConfigurationError(
-                f"unknown search mode {self.search!r}; choose "
-                f"{', '.join(_SEARCH_MODES)}"
-            )
-        if self.search == "adaptive" and self.fastpath:
-            raise ConfigurationError(
-                "fastpath=True is redundant under search='adaptive' (un"
-                "probed points are already analytic); choose one of the two"
-            )
-        return self
 
 
 #: two-sided 95% t critical values keyed by sample count (df = n-1);
@@ -1598,9 +1526,13 @@ class ReplicatedSweepResult:
                 st = row_stats[mode]
                 row += [st.mean, st.ci95] if st is not None else ["-", "-"]
             wins = sum(1 for run in self.runs if run.points[i].hardware_wins)
-            row.append(f"{wins}/{k}")
+            # an estimate in any seed makes the count partly analytic
+            estimated = any(run.points[i].estimated for run in self.runs)
+            row.append(f"{'~' if estimated else ''}{wins}/{k}")
             rows.append(row)
         lines.append(format_table(headers, rows))
+        if any(pt.estimated for run in self.runs for pt in run.points):
+            lines.append(_ESTIMATE_NOTE)
         lines.append("")
         axis = self.spec.resolved_tip_axis()
         lines.append(
@@ -1631,24 +1563,25 @@ class ReplicatedSweepResult:
 
 def run_replicated(
     sweep: Union[str, ScenarioSweepSpec],
-    replication: Optional[ReplicationSpec] = None,
-    *,
-    seeds: Optional[int] = None,
+    seeds: int = 8,
     workers: Optional[int] = None,
-    fastpath: Optional[bool] = None,
-    search: Optional[str] = None,
+    fastpath: bool = False,
+    search: str = "exhaustive",
+    anchors: Sequence[Dict[str, object]] = (),
     **overrides,
 ) -> ReplicatedSweepResult:
-    """Run a sweep K times with independent seeds (§9.4 with error bars).
+    """Run a sweep ``seeds`` times with independent seeds (§9.4 with
+    error bars): :func:`run_sweep`'s pipeline with a seed axis on top of
+    the grid, taking the same ``workers``, ``fastpath``, ``search``,
+    ``anchors`` and ``**overrides``.
 
-    The K seeds are one plan — the seed axis on top of the grid — run by
-    :func:`run_sweep`'s executor: with ``workers`` > 1 every pinned DES
-    replay of every seed is one pool task, so a slow grid point on one
-    seed does not serialize the other seeds, and each task ships back
-    only its aggregate, never raw series.  Per-seed results reassemble
-    deterministically by (seed, point) index: ``result.runs[i]`` is
-    byte-identical to running ``run_sweep`` serially with seed
-    ``result.seeds[i]``, regardless of worker count or completion order.
+    With ``workers`` > 1 every pinned DES replay of every seed is one
+    pool task, so a slow grid point on one seed does not serialize the
+    other seeds, and each task ships back only its aggregate, never raw
+    series.  Per-seed results reassemble deterministically by (seed,
+    point) index: ``result.runs[i]`` is byte-identical to running
+    ``run_sweep`` serially with seed ``result.seeds[i]``, regardless of
+    worker count or completion order.
 
     ``search="adaptive"`` brackets the crossovers once, on seed 0's
     analytic grid, and reuses the confirmed bracket as every later
@@ -1658,59 +1591,16 @@ def run_replicated(
     matches a standalone adaptive run of seed ``i``, while the probe
     *set* — and therefore which fill points are analytic estimates —
     may differ from the standalone run's.
-
-    Keyword shortcuts (``seeds=``, ``workers=``, ``fastpath=``,
-    ``search=``) override the corresponding
-    :class:`ReplicationSpec` fields; ``**overrides`` forward to the
-    named sweep's factory exactly as in :func:`run_sweep`.
     """
-    rep = replication if replication is not None else ReplicationSpec()
-    if seeds is not None:
-        rep = dataclasses.replace(rep, seeds=seeds)
-    if workers is not None:
-        rep = dataclasses.replace(rep, workers=workers)
-    if fastpath is not None:
-        rep = dataclasses.replace(rep, fastpath=fastpath)
-    if search is not None:
-        rep = dataclasses.replace(rep, search=search)
-    rep.validate()
-    if isinstance(sweep, ScenarioSweepSpec):
-        if overrides:
-            raise ConfigurationError(
-                "overrides apply to named sweeps; pass an adjusted spec instead"
-            )
-        spec = sweep
-    else:
-        spec = build_sweep_spec(sweep, **overrides)
-    spec.validate()
+    spec = _resolve(sweep, overrides)
     base_seed = spec.fixed_dict().get("seed")
-    grid = spec.points()
     if base_seed is None:
         # the sweep does not pin a seed: replicate around the scenario's
         # own default (read off the first materialized point)
-        base_seed = _materialize(spec, grid[0]).seed
-    seed_list = replication_seeds(int(base_seed), rep.seeds)
-    variants = [_with_seed(spec, s) for s in seed_list]
-    if rep.search == "adaptive":
-        # bracket once on seed 0's analytic grid; later replicates start
-        # their DES validation from seed 0's confirmed crossovers
-        hints: Optional[Dict[int, Optional[int]]] = None
-        runs = []
-        for variant in variants:
-            hints_out: Dict[int, Optional[int]] = {}
-            runs.append(
-                _run_adaptive(
-                    variant,
-                    variant.points(),
-                    rep.workers,
-                    bracket_hints=hints,
-                    hints_out=hints_out,
-                )
-            )
-            if hints is None:
-                hints = hints_out
-        return ReplicatedSweepResult(spec=spec, seeds=seed_list, runs=runs)
-    runs = _run_grid(variants, grid, rep.fastpath, rep.workers)
+        base_seed = _materialize(spec, spec.points()[0]).seed
+    seed_list = replication_seeds(int(base_seed), seeds)
+    sweeps = [_with_seed(spec, s) for s in seed_list]
+    runs = _run(sweeps, workers, fastpath, search, anchors)
     return ReplicatedSweepResult(spec=spec, seeds=seed_list, runs=runs)
 
 
@@ -1799,14 +1689,7 @@ def sweep_fastpath_eligibility(
     """
     from .fastpath import steady_eligible
 
-    if isinstance(sweep, ScenarioSweepSpec):
-        if overrides:
-            raise ConfigurationError(
-                "overrides apply to named sweeps; pass an adjusted spec instead"
-            )
-        spec = sweep
-    else:
-        spec = build_sweep_spec(sweep, **overrides)
+    spec = _resolve(sweep, overrides)
     flags = [
         steady_eligible(software_variant(_materialize(spec, params)))
         for params in spec.points()

@@ -1,18 +1,17 @@
 """Vectorized steady-model kernels: whole sweep grids in one array pass.
 
-The per-point fast path (:func:`repro.scenarios.fastpath.steady_point`)
-answers one pinned scenario at a time by walking its hosts through the
-closed-form curves of :mod:`repro.steady`.  A §9.4 sweep asks the same
-question at every point of a parameter grid, so the batched entry point
-(:func:`repro.scenarios.fastpath.steady_grid`) flattens the grid into
-struct-of-arrays host records and evaluates them through the kernels
-here — the software α-curve, the hardware card line, the M/M/1-style
-latency inflation, and the four-traversal M/D/1 uplink adder of
-:mod:`repro.steady.fabric` — each in one numpy expression.
+A §9.4 sweep asks the closed-form curves of :mod:`repro.steady` the same
+question at every point of a parameter grid, so the steady model
+(:func:`repro.scenarios.fastpath.steady_grid`; ``steady_point`` is its
+one-spec case) flattens the grid into struct-of-arrays host records and
+evaluates them through the kernels here — the software α-curve, the
+hardware card line, the M/M/1-style latency inflation, and the
+four-traversal M/D/1 uplink adder of :mod:`repro.steady.fabric` — each
+in one numpy expression.
 
 Byte-identity contract: every kernel reproduces its scalar counterpart's
 expression *tree*, not just its formula, so the array path returns the
-same 64-bit doubles the per-point path does.  Two consequences:
+same 64-bit doubles the scalar curves do.  Two consequences:
 
 * reductions stay out of the kernels (the caller sums per spec, in host
   order, in python — numpy's pairwise summation rounds differently);
@@ -21,9 +20,9 @@ same 64-bit doubles the per-point path does.  Two consequences:
   while exponent 1.0 short-circuits to the base, which IEEE 754 makes
   exact in both worlds.
 
-Every kernel also carries a pure-python fallback (no numpy importable,
-or ``REPRO_PURE_PYTHON=1`` at import) that is the scalar loop itself, so
-environments without numpy lose only speed.
+Every kernel also carries a pure-python branch (no numpy importable, or
+``REPRO_PURE_PYTHON=1`` at import) that is the scalar loop itself; it is
+the production path of every numpy-less install, which loses only speed.
 """
 
 from __future__ import annotations

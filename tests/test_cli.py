@@ -114,3 +114,20 @@ def test_parser_accepts_optional_experiment():
 def test_parser_accepts_sweep_flag():
     args = build_parser().parse_args(["--sweep", "sweep-rack-kvs"])
     assert args.sweep == "sweep-rack-kvs" and args.experiment is None
+
+
+def test_sweep_seeds_with_anchor(capsys):
+    """--anchor combines with --seeds: every seed replays the anchored
+    point, so its win count carries no estimate mark."""
+    assert main([
+        "--sweep", "sweep-rack-kvs", "--seeds", "2", "--search", "adaptive",
+        "--anchor", "n_hosts=1,rate_per_host_kpps=16.0",
+        "--duration", "0.05",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "K=2 seeds" in out
+    (row,) = [
+        line for line in out.splitlines()
+        if line.split()[:2] == ["1", "16.0"]
+    ]
+    assert not row.split()[-1].startswith("~")

@@ -7,13 +7,13 @@ worker count does not change a single rendered byte.  On top of that sit the cro
 (mean ± 95% CI, tipping fractions) and their rendering.
 """
 
+import inspect
 import math
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.scenarios import (
-    ReplicationSpec,
     build_sweep_spec,
     replicate_stats,
     replication_seeds,
@@ -54,11 +54,13 @@ def test_replication_seeds_rejects_zero():
 
 
 def test_replication_spec_validation():
-    with pytest.raises(ConfigurationError):
-        ReplicationSpec(seeds=0).validate()
-    with pytest.raises(ConfigurationError):
-        ReplicationSpec(workers=0).validate()
-    assert ReplicationSpec().validate().seeds == 8
+    """``run_replicated``'s keywords validate like ``run_sweep``'s; K
+    defaults to 8."""
+    with pytest.raises(ConfigurationError, match="seed"):
+        run_replicated(_spec(), seeds=0)
+    with pytest.raises(ConfigurationError, match="workers"):
+        run_replicated(_spec(), seeds=1, workers=0)
+    assert inspect.signature(run_replicated).parameters["seeds"].default == 8
 
 
 # -- cross-seed statistics ---------------------------------------------------

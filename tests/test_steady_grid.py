@@ -1,23 +1,44 @@
 """The vectorized steady-grid kernel: numpy/scalar parity of every array
-kernel, byte-identity of :func:`steady_grid` against the per-point fast
-path over the registered sweeps, and the ``REPRO_PURE_PYTHON`` gate."""
+kernel, byte-identity of :func:`steady_grid` — with numpy and through
+the kernels' pure-python branches — against the scalar steady model kept
+here as an oracle, and the ``REPRO_PURE_PYTHON`` gate."""
 
 import os
 import subprocess
 import sys
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
+from repro import calibration as cal
 from repro.errors import ConfigurationError
+from repro.hw.device import get_device
+from repro.naming import rack_qualified
 from repro.scenarios import (
+    ScenarioSpec,
+    build_spec,
     build_sweep_spec,
     hardware_variant,
+    ondemand_variant,
     software_variant,
+    split_steady,
     steady_grid,
 )
-from repro.scenarios.fastpath import steady_eligible, steady_point
+from repro.scenarios.fastpath import (
+    _FASTPATH_MODES,
+    SteadyEstimate,
+    _fabric_uplink_model,
+    _host_racks,
+    _per_host_rates,
+    _rack_steady_shape,
+    _uplink_direction_loads,
+    host_steady_eligible,
+    steady_eligible,
+)
 from repro.scenarios.sweep import _materialize
 from repro.steady import grid
+from repro.steady.kvs import memcached_model
+from repro.steady.ondemand import device_hardware_model
 
 #: Registered sweeps whose every grid point is steady-state eligible —
 #: the sweeps the vectorized kernel (and the adaptive search) covers.
@@ -37,6 +58,128 @@ def _eligible_grid(name):
 needs_numpy = pytest.mark.skipif(
     not grid.have_numpy(), reason="numpy not importable in this env"
 )
+
+
+# ---------------------------------------------------------------------------
+# The oracle: the scalar, one-host-at-a-time steady model.
+# ---------------------------------------------------------------------------
+
+
+def _host_models(host, mode: str):
+    """(power_at(pps), capacity_pps, latency_at(pps)) for one host+mode."""
+    software = memcached_model()
+    if mode == "software" or not host.device.is_offload:
+        # the software pin (and a NIC-only host under the hardware pin,
+        # which has nothing to shift to).  power_save holds a present card
+        # in its standby configuration: the card replaces the NIC, so the
+        # host curve loses the NIC idle share and gains the standby draw.
+        if host.device.is_offload and host.power_save:
+            profile = get_device(host.device.kind)
+            standby_w = profile.standby_power_w("kvs")
+
+            def power_at(pps: float) -> float:
+                return (
+                    software.power_at(pps)
+                    - cal.NIC_MELLANOX_CX311A_IDLE_W
+                    + standby_w
+                )
+
+            return power_at, software.capacity_pps, software.latency_at
+        return software.power_at, software.capacity_pps, software.latency_at
+    hardware = device_hardware_model("kvs", host.device.kind)
+    return hardware.power_at, hardware.capacity_pps, hardware.latency_at
+
+
+def scalar_steady_point(
+    spec: ScenarioSpec,
+    mode: str,
+    host_indices: Optional[Sequence[int]] = None,
+) -> SteadyEstimate:
+    """Analytic aggregate for one pinned mode of an eligible scenario.
+
+    ``host_indices`` restricts the estimate to a subset of the rack's
+    hosts (the per-placement fast path: analytics for the pinned hosts of
+    a mixed rack while the shifting ones run DES).  Rates always come from
+    the **full** rack's shard split, so the subset estimate composes
+    exactly with the residual sub-rack's DES aggregate.
+
+    On a fabric spec, placement keys are rack-qualified (matching the
+    builder's ``power_by_placement`` spelling) and every cross-rack host
+    additionally pays the four-traversal analytic uplink adder on latency
+    plus the bottleneck direction's throughput cap — see
+    :mod:`repro.steady.fabric` for the model and its validity envelope.
+    """
+    if mode not in _FASTPATH_MODES:
+        raise ConfigurationError(
+            f"fast path answers {', '.join(_FASTPATH_MODES)}; got {mode!r}"
+        )
+    if host_indices is None:
+        if not steady_eligible(spec):
+            raise ConfigurationError(
+                f"scenario {spec.name!r} is not steady-state eligible "
+                "(see scenarios.fastpath.steady_eligible)"
+            )
+        host_indices = range(len(spec.kvs_hosts))
+    else:
+        if not _rack_steady_shape(spec):
+            raise ConfigurationError(
+                f"scenario {spec.name!r} is not a rate-constant KVS rack"
+            )
+        for i in host_indices:
+            if not host_steady_eligible(spec.kvs_hosts[i]):
+                raise ConfigurationError(
+                    f"host {spec.kvs_hosts[i].name!r} is not steady-state "
+                    "eligible (live controller or co-located job)"
+                )
+    rates = _per_host_rates(spec)
+    selected = [(spec.kvs_hosts[i], rates[i]) for i in host_indices]
+    total_offered = sum(rate for _, rate in selected)
+    fabric = spec.fabric
+    if fabric is not None:
+        uplink = _fabric_uplink_model(spec)
+        up_loads, down_loads = _uplink_direction_loads(spec, rates)
+    achieved = 0.0
+    power_by_placement: Dict[str, float] = {}
+    latencies: List[Tuple[float, float]] = []  # (served share, latency)
+    for host, rate in selected:
+        power_at, capacity, latency_at = _host_models(host, mode)
+        served = min(rate, capacity)
+        latency = latency_at(rate)
+        key = host.name
+        if fabric is not None:
+            host_rack, client_rack = _host_racks(spec, host)
+            key = rack_qualified(host_rack, host.name)
+            if client_rack != host_rack:
+                # request: client-rack up, host-rack down; response:
+                # host-rack up, client-rack down — four traversals, each
+                # at its own direction's offered load
+                directions = (
+                    up_loads[client_rack],
+                    down_loads[host_rack],
+                    up_loads[host_rack],
+                    down_loads[client_rack],
+                )
+                latency += sum(uplink.crossing_us(load) for load in directions)
+                served *= min(
+                    uplink.throughput_factor(load) for load in directions
+                )
+        achieved += served
+        power_by_placement[key] = power_at(rate)
+        latencies.append((served, latency))
+    total_power = sum(power_by_placement.values())
+    total_served = sum(share for share, _ in latencies) or 1.0
+    # the rack-level "median" of per-host flat medians: served-weighted
+    p50 = sum(share * lat for share, lat in latencies) / total_served
+    return SteadyEstimate(
+        mode=mode,
+        offered_pps=total_offered,
+        achieved_pps=achieved,
+        total_power_w=total_power,
+        p50_latency_us=p50,
+        p99_latency_us=p50,  # steady curves model medians only
+        ops_per_watt=achieved / total_power if total_power > 0 else 0.0,
+        power_by_placement=power_by_placement,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +264,7 @@ class TestKernelParity:
 
 
 # ---------------------------------------------------------------------------
-# Grid-level identity: steady_grid == [steady_point, ...] on real sweeps.
+# Grid-level identity: steady_grid == the scalar oracle, on real sweeps.
 # ---------------------------------------------------------------------------
 
 
@@ -131,23 +274,49 @@ def test_steady_grid_matches_steady_point(name, mode):
     variant = software_variant if mode == "software" else hardware_variant
     specs = [variant(spec) for spec in _eligible_grid(name)]
     assert all(steady_eligible(spec) for spec in specs)
-    batched = steady_grid(specs, mode)
-    for spec, est in zip(specs, batched):
-        one = steady_point(spec, mode)
-        # exact equality, field for field — byte-identical, not approx
-        assert est == one
+    want = [scalar_steady_point(spec, mode) for spec in specs]
+    # exact equality, field for field — byte-identical, not approx
+    assert steady_grid(specs, mode) == want
 
 
 @needs_numpy
 @pytest.mark.parametrize("name", ELIGIBLE_SWEEPS)
 def test_steady_grid_fallback_is_the_per_point_loop(name, monkeypatch):
-    specs = [software_variant(spec) for spec in _eligible_grid(name)]
-    vectorized = steady_grid(specs, "software")
+    """Without numpy, the kernels' pure-python branches give the scalar
+    oracle's per-point answers, and so the vectorized pass's too."""
+    for mode, variant in (
+        ("software", software_variant),
+        ("hardware", hardware_variant),
+    ):
+        specs = [variant(spec) for spec in _eligible_grid(name)]
+        vectorized = steady_grid(specs, mode)
+        with monkeypatch.context() as patched:
+            patched.setattr(grid, "_np", None)
+            assert not grid.have_numpy()
+            fallback = steady_grid(specs, mode)
+        assert fallback == [scalar_steady_point(spec, mode) for spec in specs]
+        assert fallback == vectorized
+
+
+@pytest.mark.parametrize("rate", [8.0, 16.0, 24.0, 32.0])
+def test_steady_grid_subset_matches_steady_point(rate, monkeypatch):
+    """The per-placement subset: the NIC-only host of a NetFPGA +
+    NIC-only rack's on-demand pin, rated off the full rack's split."""
+    od = ondemand_variant(
+        build_spec(
+            "rack-hetero",
+            device_kinds=("netfpga-sume", "none"),
+            rate_per_host_kpps=rate,
+            ramp=False,
+            keyspace=4_000,
+        )
+    )
+    indices, residual = split_steady(od)
+    assert indices == (1,) and residual is not None
+    want = [scalar_steady_point(od, "software", host_indices=indices)]
+    assert steady_grid([od], "software", indices) == want
     monkeypatch.setattr(grid, "_np", None)
-    assert not grid.have_numpy()
-    fallback = steady_grid(specs, "software")
-    assert fallback == [steady_point(spec, "software") for spec in specs]
-    assert fallback == vectorized
+    assert steady_grid([od], "software", indices) == want
 
 
 def test_steady_grid_rejects_unknown_mode():

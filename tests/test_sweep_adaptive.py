@@ -1,6 +1,7 @@
 """The adaptive crossover search: exhaustive-equivalence of the tipping
 rows on the three fastpath-eligible registered sweeps (with the DES
-savings floor), anchors, replication bracket reuse, and the error paths.
+savings floor), the estimate-blind tipping scan, anchors under every
+search, replication bracket reuse, and the error paths.
 
 The equivalence configs are trimmed (two-value outer axes, shortened
 durations) to keep the DES cost down while still crossing a real
@@ -11,8 +12,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.scenarios import build_sweep_spec, run_replicated, run_sweep
+from repro.scenarios.spec import ScenarioSweepSpec, SweepAxis
 from repro.scenarios.sweep import (
-    ReplicationSpec,
+    ScenarioSweepResult,
+    SweepAggregate,
+    SweepPointResult,
     _bracket_first_win,
     _linear_fill,
     _with_seed,
@@ -133,25 +137,118 @@ def test_adaptive_matches_exhaustive(name, overrides):
 
 
 # ---------------------------------------------------------------------------
-# Anchors: user-pinned points always replay the DES.
+# The reduce: estimates never vote in the tipping scan.
 # ---------------------------------------------------------------------------
 
 
+def _opw(ops_per_watt):
+    return SweepAggregate(
+        mode="x",
+        offered_pps=1.0,
+        achieved_pps=1.0,
+        total_power_w=1.0,
+        p50_latency_us=1.0,
+        p99_latency_us=1.0,
+        ops_per_watt=ops_per_watt,
+    )
+
+
+def test_tipping_scan_skips_estimated_points():
+    """An estimated hardware win before the DES crossover and an
+    estimated loss after it change neither the crossover nor the
+    monotone flag: the row is the measured points' row."""
+    rates = (10.0, 20.0, 30.0, 40.0, 50.0)
+    spec = ScenarioSweepSpec(
+        name="s",
+        base="rack-kvs",
+        axes=(SweepAxis("rate_per_host_kpps", rates),),
+    )
+    # (hardware ops/W vs software 100, estimated?) per ramp value
+    cells = [
+        (150.0, True),   # estimated win before the crossover
+        (90.0, False),   # DES loss
+        (120.0, False),  # DES win: the crossover
+        (80.0, True),    # estimated loss after it
+        (130.0, False),  # DES win
+    ]
+    result = ScenarioSweepResult(
+        spec=spec,
+        points=[
+            SweepPointResult(
+                params={"rate_per_host_kpps": rate},
+                software=_opw(100.0),
+                hardware=_opw(hw),
+                estimated=estimated,
+            )
+            for rate, (hw, estimated) in zip(rates, cells)
+        ],
+        search="adaptive",
+    )
+    (tip,) = result.tipping_points()
+    assert tip.crossover == 30.0
+    assert tip.hw_ops_per_watt == 120.0
+    assert tip.monotone
+
+
+# ---------------------------------------------------------------------------
+# Anchors: user-pinned points always replay the DES, under every search.
+# ---------------------------------------------------------------------------
+
+#: A six-point ramp whose adaptive walk leaves 16 kpps unprobed.
+ANCHOR_RAMP = dict(
+    hosts=(1,),
+    rates_kpps=(8.0, 12.0, 16.0, 20.0, 24.0, 28.0),
+    duration_s=0.05,
+    keyspace=4_000,
+)
+ANCHOR = {"rate_per_host_kpps": 16.0}
+
+
 def test_anchored_points_are_des_replayed():
-    overrides = dict(
-        hosts=(1,),
-        rates_kpps=(8.0, 12.0, 16.0, 20.0, 24.0, 28.0),
-        duration_s=0.05,
-        keyspace=4_000,
-    )
-    anchor = {"rate_per_host_kpps": 16.0}
-    plain = run_sweep("sweep-rack-kvs", search="adaptive", **overrides)
+    plain = run_sweep("sweep-rack-kvs", search="adaptive", **ANCHOR_RAMP)
     anchored = run_sweep(
-        "sweep-rack-kvs", search="adaptive", anchors=(anchor,), **overrides
+        "sweep-rack-kvs", search="adaptive", anchors=(ANCHOR,), **ANCHOR_RAMP
     )
-    assert anchored.point(n_hosts=1, rate_per_host_kpps=16.0).estimated is False
+    assert plain.point(n_hosts=1, **ANCHOR).estimated is True
+    assert anchored.point(n_hosts=1, **ANCHOR).estimated is False
     assert anchored.des_points_run >= plain.des_points_run
     assert anchored.tipping_points() == plain.tipping_points()
+
+
+#: A three-point ramp cheap enough to replay exhaustively.
+ANCHOR_GRID = dict(
+    hosts=(1,), rates_kpps=(8.0, 16.0, 24.0), duration_s=0.05, keyspace=4_000
+)
+
+
+@pytest.fixture(scope="module")
+def exhaustive_anchor_grid():
+    return run_sweep("sweep-rack-kvs", **ANCHOR_GRID)
+
+
+def test_fastpath_replays_anchored_points(exhaustive_anchor_grid):
+    result = run_sweep(
+        "sweep-rack-kvs", fastpath=True, anchors=(ANCHOR,), **ANCHOR_GRID
+    )
+    assert result.des_points_run == 1
+    point = result.point(n_hosts=1, **ANCHOR)
+    want = exhaustive_anchor_grid.point(n_hosts=1, **ANCHOR)
+    assert point.software == want.software
+    assert point.hardware == want.hardware
+    assert point.ondemand == want.ondemand
+
+
+def test_exhaustive_anchors_change_nothing(exhaustive_anchor_grid):
+    anchored = run_sweep("sweep-rack-kvs", anchors=(ANCHOR,), **ANCHOR_GRID)
+    assert anchored.render() == exhaustive_anchor_grid.render()
+
+
+def test_adaptive_implies_fastpath():
+    adaptive = run_sweep("sweep-rack-kvs", search="adaptive", **ANCHOR_RAMP)
+    both = run_sweep(
+        "sweep-rack-kvs", search="adaptive", fastpath=True, **ANCHOR_RAMP
+    )
+    assert both.render() == adaptive.render()
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +281,48 @@ def test_replicated_adaptive_rows_match_standalone_runs():
         assert run.des_points_run <= result.runs[0].des_points_run
 
 
+def test_replicated_adaptive_replays_anchors_in_every_seed():
+    result = run_replicated(
+        "sweep-rack-kvs",
+        seeds=2,
+        search="adaptive",
+        anchors=(ANCHOR,),
+        **ANCHOR_RAMP,
+    )
+    for run in result.runs:
+        assert run.point(n_hosts=1, **ANCHOR).estimated is False
+
+
+def test_replicated_adaptive_render_marks_estimates():
+    """A point that is an analytic estimate in any seed carries ``~`` on
+    its win count, with the estimate footnote under the table."""
+    result = run_replicated(
+        "sweep-rack-kvs",
+        seeds=2,
+        search="adaptive",
+        hosts=(1,),
+        rates_kpps=(46.0, 54.0, 62.0, 70.0, 78.0),
+        duration_s=0.08,
+        keyspace=4_000,
+    )
+    lines = result.render().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("---"))
+    n = len(result.runs[0].points)
+    cells = [line.split()[-1] for line in lines[first + 1:first + 1 + n]]
+    estimated = [
+        any(run.points[i].estimated for run in result.runs) for i in range(n)
+    ]
+    assert any(estimated) and not all(estimated)
+    for cell, est in zip(cells, estimated):
+        assert cell.startswith("~") == est
+    assert lines[first + 1 + n].startswith("~ analytic steady-state estimate")
+
+
 def test_replication_spec_validates_search():
+    """``run_replicated`` takes the search mode as a keyword and rejects
+    an unknown one."""
     with pytest.raises(ConfigurationError, match="search"):
-        ReplicationSpec(search="bogus").validate()
-    with pytest.raises(ConfigurationError, match="adaptive"):
-        ReplicationSpec(search="adaptive", fastpath=True).validate()
+        run_replicated("sweep-rack-kvs", seeds=1, search="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +334,6 @@ class TestAdaptiveErrors:
     def test_unknown_search_mode(self):
         with pytest.raises(ConfigurationError, match="unknown search mode"):
             run_sweep("sweep-rack-kvs", search="dowsing")
-
-    def test_adaptive_conflicts_with_fastpath(self):
-        with pytest.raises(ConfigurationError, match="redundant"):
-            run_sweep("sweep-rack-kvs", search="adaptive", fastpath=True)
-
-    def test_anchors_require_adaptive(self):
-        with pytest.raises(ConfigurationError, match="anchors"):
-            run_sweep("sweep-rack-kvs", anchors=({"n_hosts": 1},))
 
     def test_adaptive_needs_an_eligible_point(self):
         with pytest.raises(
