@@ -5,8 +5,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-pure bench-smoke sweep-smoke hetero-smoke fabric-smoke bench-perf bench-fabric-perf bench-grid-perf perfbench-smoke bench-replication bench examples
 
+# Tier-1; --durations prints the ten slowest tests, so every log carries
+# the suite's slowest DES replays as a perf number.
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=10
 
 # The steady model's pure-python kernels, which every numpy-less install
 # runs in production: the steady-grid oracle, the fast-path and fabric

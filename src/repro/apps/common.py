@@ -122,8 +122,9 @@ class SoftwareService:
             self._busy = False
             return
         self._busy = True
-        duration = self.service_time_us
-        self.util.add_busy(duration)
+        # hot path: service_time_us and util.add_busy inlined
+        duration = SEC / self.capacity_pps
+        self.util._busy_us += duration
         self.sim.schedule_call(duration, self._finish, packet)
 
     def _finish(self, packet: Packet) -> None:

@@ -35,17 +35,10 @@ class KvsClient(Node):
         rate_pps: float = 0.0,
         set_fraction: float = 0.0,
         rng=None,
-        arrival_batch: int = 0,
     ):
         super().__init__(sim, name)
         if not 0.0 <= set_fraction <= 1.0:
             raise ConfigurationError("set_fraction outside [0,1]")
-        if arrival_batch < 0:
-            raise ConfigurationError("arrival_batch must be >= 0")
-        #: 0 = the exact per-tick loop; N > 0 pre-schedules N arrivals per
-        #: refill (Simulator.call_every_batched) — faster, same statistics,
-        #: but not draw-for-draw identical, so strictly opt-in.
-        self.arrival_batch = arrival_batch
         self.server_name = server_name
         self.key_sampler = key_sampler
         self.value_sampler = value_sampler
@@ -78,20 +71,11 @@ class KvsClient(Node):
         if rate_pps > 0:
             interval = SEC / rate_pps
             jitter = 0.3 if self._rng is not None else 0.0
-            if self.arrival_batch:
-                self._send_timer = self.sim.call_every_batched(
-                    interval,
-                    self._send_one,
-                    jitter=jitter,
-                    rng=self._rng,
-                    batch=self.arrival_batch,
-                )
-            else:
-                # hot path: one tick per generated request — the Event-free
-                # periodic loop (identical tick times and RNG draw order)
-                self._send_timer = self.sim.call_every_fast(
-                    interval, self._send_one, jitter=jitter, rng=self._rng
-                )
+            # hot path: one tick per generated request — the Event-free
+            # periodic loop (identical tick times and RNG draw order)
+            self._send_timer = self.sim.call_every_fast(
+                interval, self._send_one, jitter=jitter, rng=self._rng
+            )
 
     @property
     def rate_pps(self) -> float:
@@ -124,7 +108,7 @@ class KvsClient(Node):
             dst=self.server_name,
             traffic_class=TrafficClass.MEMCACHED,
             payload=request,
-            now=self.sim.now,
+            now=self.sim._now,
             dport=KVS_PORT,
             size_bytes=request.size_bytes,
         )
@@ -133,15 +117,17 @@ class KvsClient(Node):
     # -- response handling -----------------------------------------------------
 
     def receive(self, packet: Packet) -> None:
-        super().receive(packet)
+        # hot path: Node.receive and packet.age_us inlined
+        self.rx_packets += 1
         response = packet.payload
         if not isinstance(response, KvsResponse):
             return
         self.responses += 1
-        latency = packet.age_us(self.sim.now)
+        now = self.sim._now
+        latency = now - packet.created_us
         self.latency.record(latency)
-        self.latency_series.record(self.sim.now, latency)
-        self.response_times_us.append(self.sim.now)
+        self.latency_series.record(now, latency)
+        self.response_times_us.append(now)
         status = response.status
         if status is KvsStatus.HIT:
             self.hits += 1

@@ -29,24 +29,36 @@ class KvsStatus(enum.Enum):
     NOT_FOUND = "not_found"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KvsRequest:
-    """A client request."""
+    """A client request.
+
+    One is built per generated request, so ``__init__`` is hand-written:
+    it validates, then fills ``__dict__`` in one update instead of one
+    frozen ``object.__setattr__`` per field plus a ``__post_init__`` call.
+    """
 
     op: KvsOp
     key: str
     value: Optional[bytes] = None
     request_id: int = 0
 
-    def __post_init__(self):
-        if not self.key:
+    def __init__(
+        self,
+        op: KvsOp,
+        key: str,
+        value: Optional[bytes] = None,
+        request_id: int = 0,
+    ):
+        if not key:
             raise ProtocolError("empty key")
-        if len(self.key) > 250:
+        if len(key) > 250:
             raise ProtocolError("key exceeds memcached's 250-byte limit")
-        if self.op is KvsOp.SET and self.value is None:
+        if op is KvsOp.SET and value is None:
             raise ProtocolError("SET requires a value")
-        if self.op is not KvsOp.SET and self.value is not None:
-            raise ProtocolError(f"{self.op.value} must not carry a value")
+        if op is not KvsOp.SET and value is not None:
+            raise ProtocolError(f"{op.value} must not carry a value")
+        self.__dict__.update(op=op, key=key, value=value, request_id=request_id)
 
     @property
     def size_bytes(self) -> int:
@@ -57,9 +69,10 @@ class KvsRequest:
         return size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KvsResponse:
-    """A server response."""
+    """A server response (hand-written ``__init__`` like
+    :class:`KvsRequest`: one is built per served request)."""
 
     status: KvsStatus
     key: str
@@ -69,8 +82,22 @@ class KvsResponse:
     #: Figure 6 latency series distinguishes hardware hits from misses)
     served_by: str = "software"
 
-    def __post_init__(self):
-        if self.status is KvsStatus.HIT and self.value is None:
+    def __init__(
+        self,
+        status: KvsStatus,
+        key: str,
+        value: Optional[bytes] = None,
+        request_id: int = 0,
+        served_by: str = "software",
+    ):
+        if status is KvsStatus.HIT and value is None:
             raise ProtocolError("HIT response requires a value")
-        if self.status in (KvsStatus.MISS, KvsStatus.NOT_FOUND) and self.value is not None:
-            raise ProtocolError(f"{self.status.value} must not carry a value")
+        if status in (KvsStatus.MISS, KvsStatus.NOT_FOUND) and value is not None:
+            raise ProtocolError(f"{status.value} must not carry a value")
+        self.__dict__.update(
+            status=status,
+            key=key,
+            value=value,
+            request_id=request_id,
+            served_by=served_by,
+        )

@@ -125,9 +125,8 @@ class KeyShardRouter:
         #: traffic for such shards is never offered, so routing to one is a
         #: configuration bug and raises.
         self.hosts: List[Optional[str]] = list(hosts)
-        self._key_of = key_of or (
-            lambda packet: getattr(packet.payload, "key", None)
-        )
+        #: None reads ``packet.payload.key`` (inline in :meth:`route`)
+        self._key_of = key_of
         #: per-host routed-packet counters (rack telemetry).
         self.per_host: Dict[str, int] = {
             name: 0 for name in self.hosts if name is not None
@@ -164,7 +163,11 @@ class KeyShardRouter:
 
     def route(self, packet: Packet) -> str:
         """The switch-dispatch chooser: next-hop host name for a packet."""
-        key = self._key_of(packet)
+        key_of = self._key_of
+        if key_of is None:
+            key = getattr(packet.payload, "key", None)
+        else:
+            key = key_of(packet)
         if key is None:
             self.keyless += 1
             key = packet.src

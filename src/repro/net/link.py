@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Optional
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from ..units import gbit_per_s
 from ..sim import Simulator
 from .node import Node
@@ -75,6 +76,14 @@ class Link:
     ``latency_us`` is one-way propagation; ``bandwidth_bps`` adds
     serialization delay (size / bandwidth).  Statistics count delivered,
     lost, and duplicated packets.
+
+    ``send(packet)`` transmits toward ``dst``.  It is bound once, in
+    ``__init__``, to one of three variants: plain (contention-free), FIFO
+    queued (``queueing=True``) or faulty (any :class:`LinkFaults` knob
+    set).  The plain and queued variants push the delivery entry
+    ``(time, seq, dst.receive, packet)`` straight onto the simulator's
+    heap (the layout :mod:`repro.sim.kernel` documents), ordered exactly
+    like a :meth:`~repro.sim.Simulator.schedule_call`.
     """
 
     def __init__(
@@ -98,11 +107,12 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.faults = faults or LinkFaults()
         self.faults.validate()
-        if (self.faults.loss or self.faults.duplicate or self.faults.reorder_jitter_us) and rng is None:
-            raise ConfigurationError("fault injection requires an rng")
-        if queueing and (
+        faulty = bool(
             self.faults.loss or self.faults.duplicate or self.faults.reorder_jitter_us
-        ):
+        )
+        if faulty and rng is None:
+            raise ConfigurationError("fault injection requires an rng")
+        if queueing and faulty:
             raise ConfigurationError(
                 "queueing and fault injection are mutually exclusive on one link"
             )
@@ -121,6 +131,17 @@ class Link:
         self.delivered = 0
         self.lost = 0
         self.duplicated = 0
+        # bound once: the fault-free variants write the kernel's heap
+        # directly, with sequence numbers from its one counter
+        self._heap = sim._heap
+        self._seq = sim._seq
+        self._receive = dst.receive
+        if faulty:
+            self.send = self._send_faulty
+        elif queueing:
+            self.send = self._send_queued
+        else:
+            self.send = self._send_plain
 
     def serialization_us(self, packet: Packet) -> float:
         """Time to put ``packet`` on the wire at this link's bandwidth."""
@@ -129,36 +150,24 @@ class Link:
         # DES and the analytic fast path's description of it
         return packet.size_bytes * 8 / self.bandwidth_bps * 1e6
 
-    def send(self, packet: Packet) -> None:
-        """Transmit ``packet`` toward ``dst`` (subject to faults)."""
-        faults = self.faults
-        if faults.loss or faults.duplicate or faults.reorder_jitter_us:
-            if faults.loss and self._rng.random() < faults.loss:
-                self.lost += 1
-                return
-            self._deliver(packet)
-            if faults.duplicate and self._rng.random() < faults.duplicate:
-                self.duplicated += 1
-                self._deliver(packet.copy())
-            return
-        if self.queueing:
-            self._send_queued(packet)
-            return
-        # fault-free hot path: _deliver flattened in (the delay expression
+    def _send_plain(self, packet: Packet) -> None:
+        # the hot path: one call per simulated hop.  The delay expression
         # must stay operation-for-operation identical to serialization_us
-        # so event times are bit-identical across code paths)
+        # so event times are bit-identical across code paths.
         packet.hops += 1
         self.delivered += 1
-        self.sim.schedule_call(
-            self.latency_us + packet.size_bytes * 8 / self.bandwidth_bps * 1e6,
-            self.dst.receive,
-            packet,
+        delay = self.latency_us + packet.size_bytes * 8 / self.bandwidth_bps * 1e6
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        heappush(
+            self._heap,
+            (self.sim._now + delay, next(self._seq), self._receive, packet),
         )
 
     def _send_queued(self, packet: Packet) -> None:
         # FIFO output queue: the wire is busy until the previous packet's
         # serialization finishes; propagation overlaps (pipelining).
-        now = self.sim.now
+        now = self.sim._now
         start = self._busy_until_us
         if start < now:
             start = now
@@ -171,14 +180,22 @@ class Link:
                 self.max_queue_us = wait
         packet.hops += 1
         self.delivered += 1
-        self.sim.schedule_call(
-            wait + serialization + self.latency_us, self.dst.receive, packet
-        )
+        delay = wait + serialization + self.latency_us
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        heappush(self._heap, (now + delay, next(self._seq), self._receive, packet))
+
+    def _send_faulty(self, packet: Packet) -> None:
+        faults = self.faults
+        if faults.loss and self._rng.random() < faults.loss:
+            self.lost += 1
+            return
+        self._deliver(packet)
+        if faults.duplicate and self._rng.random() < faults.duplicate:
+            self.duplicated += 1
+            self._deliver(packet.copy())
 
     def _deliver(self, packet: Packet) -> None:
-        # Hot path: one call per simulated packet.  schedule_call carries
-        # the packet in the heap entry itself — no Event, no name string,
-        # no per-delivery closure.
         delay = (
             self.latency_us
             + packet.size_bytes * 8 / self.bandwidth_bps * 1e6

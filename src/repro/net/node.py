@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+from ..errors import ConfigurationError
 from ..sim import Simulator
 from .packet import Packet
 
@@ -31,10 +32,11 @@ class Node:
 
     def send(self, packet: Packet) -> None:
         """Transmit a packet through the attached egress."""
-        if self._egress is None:
-            raise RuntimeError(f"node {self.name!r} has no egress attached")
+        egress = self._egress
+        if egress is None:
+            raise ConfigurationError(f"node {self.name!r} has no egress attached")
         self.tx_packets += 1
-        self._egress(packet)
+        egress(packet)
 
     # -- delivery --------------------------------------------------------
 

@@ -19,6 +19,9 @@ from .link import Link
 from .node import Node
 from .packet import Packet, TrafficClass
 
+#: match-cache miss marker (``None`` is a cached "no rule, no dispatcher")
+_UNRESOLVED = object()
+
 
 @dataclass(frozen=True)
 class ForwardingRule:
@@ -34,7 +37,15 @@ class ForwardingRule:
 
 
 class Switch(Node):
-    """Destination-forwarding switch with redirect rules and counters."""
+    """Destination-forwarding switch with redirect rules and counters.
+
+    The data plane answers its two table lookups from per-key caches: the
+    match stage per (traffic class, destination) and the egress per
+    target.  Every control-plane write (``connect``, ``add_route``,
+    ``set_default_route``, ``install_rule``, ``remove_rule``,
+    ``install_dispatch``, ``remove_dispatch``) clears both, so each packet
+    after a write follows the new table.
+    """
 
     def __init__(self, sim: Simulator, name: str = "switch"):
         super().__init__(sim, name)
@@ -60,6 +71,16 @@ class Switch(Node):
         #: dispatch rewrite — how a centralized controller watches one
         #: consensus group's leader-bound rate among many sharing the ToR.
         self.logical_counters: Dict[Tuple[TrafficClass, str], int] = {}
+        #: (class, dst) -> the matching ForwardingRule, dispatch chooser, or
+        #: None when neither matches
+        self._match_cache: Dict[Tuple[TrafficClass, str], object] = {}
+        #: target -> (egress link or None for a drop, whether it was routed)
+        self._egress_cache: Dict[str, Tuple[Optional[Link], bool]] = {}
+
+    def _table_changed(self) -> None:
+        """Every control-plane write ends here: forget cached lookups."""
+        self._match_cache.clear()
+        self._egress_cache.clear()
 
     # -- wiring ----------------------------------------------------------
 
@@ -68,6 +89,7 @@ class Switch(Node):
         if node.name in self._ports:
             raise ConfigurationError(f"duplicate port toward {node.name!r}")
         self._ports[node.name] = link
+        self._table_changed()
 
     @property
     def ports(self) -> Dict[str, Link]:
@@ -85,6 +107,7 @@ class Switch(Node):
                 f"route via {via!r} is not a connected port of {self.name!r}"
             )
         self._routes[dst_name] = via
+        self._table_changed()
 
     def set_default_route(self, via: str) -> None:
         """Send anything without a port or route out ``via`` (ToR uplink)."""
@@ -94,6 +117,7 @@ class Switch(Node):
                 f"{self.name!r}"
             )
         self._default_route = via
+        self._table_changed()
 
     def route_for(self, dst_name: str) -> Optional[str]:
         """The port a packet for ``dst_name`` would leave on, or None."""
@@ -117,10 +141,13 @@ class Switch(Node):
                 f"rule next_hop {rule.next_hop!r} is not a connected port"
             )
         self._rules[(rule.traffic_class, rule.logical_dst)] = rule
+        self._table_changed()
 
     def remove_rule(self, traffic_class: TrafficClass, logical_dst: str) -> Optional[ForwardingRule]:
         """Remove a redirect rule; returns it, or None if absent."""
-        return self._rules.pop((traffic_class, logical_dst), None)
+        rule = self._rules.pop((traffic_class, logical_dst), None)
+        self._table_changed()
+        return rule
 
     def rule_for(self, traffic_class: TrafficClass, logical_dst: str) -> Optional[ForwardingRule]:
         return self._rules.get((traffic_class, logical_dst))
@@ -145,34 +172,63 @@ class Switch(Node):
         redirect rules take precedence over dispatch rules.
         """
         self._dispatchers[(traffic_class, logical_dst)] = chooser
+        self._table_changed()
 
     def remove_dispatch(
         self, traffic_class: TrafficClass, logical_dst: str
     ) -> Optional[Callable[[Packet], str]]:
         """Remove a dispatch rule; returns the chooser, or None if absent."""
-        return self._dispatchers.pop((traffic_class, logical_dst), None)
+        chooser = self._dispatchers.pop((traffic_class, logical_dst), None)
+        self._table_changed()
+        return chooser
 
     # -- data plane --------------------------------------------------------
 
     def receive(self, packet: Packet) -> None:
-        # hot path: one call per forwarded packet; Node.receive inlined
+        # hot path: one call per forwarded packet; Node.receive inlined.
+        # Both lookups come from the caches; every counter still moves per
+        # packet.
         self.rx_packets += 1
         traffic_class = packet.traffic_class
         self.class_counters[traffic_class] += 1
-        key = (traffic_class, packet.dst)
-        rule = self._rules.get(key)
         target = packet.dst
-        if rule is not None:
+        key = (traffic_class, target)
+        match = self._match_cache.get(key, _UNRESOLVED)
+        if match is _UNRESOLVED:
+            match = self._resolve_match(key)
+        if match is not None:
             self.logical_counters[key] = self.logical_counters.get(key, 0) + 1
-            target = rule.next_hop
-            self.redirected += 1
-        else:
-            chooser = self._dispatchers.get(key)
-            if chooser is not None:
-                self.logical_counters[key] = self.logical_counters.get(key, 0) + 1
-                target = chooser(packet)
+            if match.__class__ is ForwardingRule:
+                target = match.next_hop
+                self.redirected += 1
+            else:
+                target = match(packet)
                 self.dispatched += 1
+        egress = self._egress_cache.get(target)
+        if egress is None:
+            egress = self._resolve_egress(target)
+        link, routed = egress
+        if link is None:
+            self.dropped_no_route += 1
+            return
+        if routed:
+            self.routed += 1
+        self.forwarded += 1
+        link.send(packet)
+
+    def _resolve_match(self, key: Tuple[TrafficClass, str]) -> object:
+        """The match stage for ``key``: exact redirect rules take
+        precedence over dispatch rules."""
+        match = self._rules.get(key)
+        if match is None:
+            match = self._dispatchers.get(key)
+        self._match_cache[key] = match
+        return match
+
+    def _resolve_egress(self, target: str) -> Tuple[Optional[Link], bool]:
+        """The port toward ``target`` and whether reaching it was routed."""
         link = self._ports.get(target)
+        routed = False
         if link is None:
             # multi-switch fabrics: static route (spine -> owning ToR) or
             # default route (ToR -> spine uplink); single-switch racks have
@@ -180,9 +236,7 @@ class Switch(Node):
             via = self._routes.get(target, self._default_route)
             if via is not None:
                 link = self._ports.get(via)
-            if link is None:
-                self.dropped_no_route += 1
-                return
-            self.routed += 1
-        self.forwarded += 1
-        link.send(packet)
+            routed = link is not None
+        egress = (link, routed)
+        self._egress_cache[target] = egress
+        return egress

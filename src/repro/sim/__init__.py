@@ -5,7 +5,6 @@ callback scheduling, and optional generator-based processes.  Everything in
 the network/host/hardware substrates builds on :class:`Simulator`.
 """
 
-from .calqueue import CalendarQueue
 from .kernel import Event, Simulator
 from .process import Process
 from .queues import FifoQueue, QueueStats
@@ -21,7 +20,6 @@ from .recorder import (
 from .rng import RngStreams
 
 __all__ = [
-    "CalendarQueue",
     "Event",
     "Simulator",
     "Process",

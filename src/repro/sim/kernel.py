@@ -4,21 +4,32 @@ Time is a float in **microseconds** (see :mod:`repro.units`).  Events are
 callbacks ordered by (time, sequence), so same-time events run in the order
 they were scheduled — a property several protocol tests rely on.
 
-Two scheduling tiers share one total order:
+Every pending callback lives in one binary heap, and two scheduling tiers
+share its total order:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
   cancellable, named :class:`Event` — the observable API.
 * :meth:`Simulator.schedule_fast` / :meth:`Simulator.schedule_call` are the
-  hot-path tier used by links, services and load generators: no Event
-  object, no name string, no cancellation — just ``(time, seq, fn)`` (or
-  ``(time, seq, fn, arg)``) tuples on the heap, compared at C speed.  The
-  sequence numbers come from the same counter, so fast and slow entries
-  interleave in exactly the order they were scheduled.
+  hot-path tier used by services and load generators: no Event object, no
+  name string, no cancellation.
 
-The default event queue is a binary heap; ``Simulator(scheduler="calendar")``
-swaps in the bucketed calendar queue of :mod:`repro.sim.calqueue`, which
-suits workloads dominated by near-uniform inter-arrival times.  Both order
-events identically by (time, seq).
+Heap entries are tuples, compared at C speed::
+
+    (time, seq, event)      # cancellable tier: runs event.callback()
+    (time, seq, fn)         # schedule_fast: runs fn()
+    (time, seq, fn, arg)    # schedule_call: runs fn(arg)
+
+``seq`` is drawn from the simulator's one counter (``Simulator._seq``), so
+it is unique, the comparison never reaches the payload, and entries of
+either tier interleave in exactly the order they were scheduled.
+:class:`repro.net.link.Link` is the one writer outside this module: its
+fault-free send variants push ``(time, seq, dst.receive, packet)`` entries
+straight onto ``Simulator._heap``, with ``seq`` from the same counter, so
+a link delivery orders exactly like a :meth:`Simulator.schedule_call`.
+
+Cancellation is lazy: a cancelled Event's entry stays queued until the
+run loop reaches and purges it.  :attr:`Simulator.pending` is therefore
+the heap's length minus the cancelled entries still in it.
 """
 
 from __future__ import annotations
@@ -28,8 +39,6 @@ import itertools
 from typing import Callable, List, Optional
 
 from ..errors import SimulationError
-
-_HEAP_SCHEDULERS = ("heap", "calendar")
 
 
 class Event:
@@ -64,7 +73,7 @@ class Event:
             return
         self.cancelled = True
         if self._sim is not None:
-            self._sim._note_cancelled()
+            self._sim._cancelled += 1
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -84,33 +93,17 @@ class Simulator:
         sim.run_until(100.0)
     """
 
-    def __init__(self, scheduler: str = "heap") -> None:
-        if scheduler not in _HEAP_SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; choose one of "
-                f"{', '.join(_HEAP_SCHEDULERS)}"
-            )
+    def __init__(self) -> None:
         self._now = 0.0
-        #: heap entries are (time, seq, payload[, arg]) tuples; payload is
-        #: an Event (cancellable tier) or a bare callable (fast tier).  seq
-        #: is unique, so tuple comparison never reaches the payload.
+        #: the event queue; see the module docstring for the entry layout
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self._running = False
-        self._stopped = False
         self._executed = 0
         #: Event objects re-armed via :meth:`reschedule` (pool hit count).
         self._reused = 0
-        #: live (scheduled, not yet executed, not cancelled) event count;
-        #: kept in sync by schedule/cancel/step so :attr:`pending` is O(1).
-        self._live = 0
-        self.scheduler = scheduler
-        if scheduler == "calendar":
-            from .calqueue import CalendarQueue
-
-            self._calq: Optional["CalendarQueue"] = CalendarQueue()
-        else:
-            self._calq = None
+        #: cancelled Events whose entries are still in the heap
+        self._cancelled = 0
 
     # -- clock ---------------------------------------------------------
 
@@ -133,15 +126,11 @@ class Simulator:
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued.
 
-        O(1): a live-event counter is maintained by ``schedule``/``cancel``
-        and decremented as events execute, so the heap (which may still hold
-        lazily-cancelled entries) is never scanned.
+        O(1): :meth:`Event.cancel` counts each cancelled entry still in the
+        heap and the run loop's purge uncounts it, so the heap is never
+        scanned.
         """
-        return self._live
-
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel` exactly once per cancellation."""
-        self._live -= 1
+        return len(self._heap) - self._cancelled
 
     # -- scheduling ----------------------------------------------------
 
@@ -153,8 +142,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self._now + delay
         event = Event(time, next(self._seq), callback, name, sim=self)
-        self._push((time, event.seq, event))
-        self._live += 1
+        heapq.heappush(self._heap, (time, event.seq, event))
         return event
 
     def schedule_at(
@@ -166,8 +154,7 @@ class Simulator:
                 f"cannot schedule at t={time} before now={self._now}"
             )
         event = Event(time, next(self._seq), callback, name, sim=self)
-        self._push((time, event.seq, event))
-        self._live += 1
+        heapq.heappush(self._heap, (time, event.seq, event))
         return event
 
     def schedule_fast(self, delay: float, callback: Callable[[], None]) -> None:
@@ -179,13 +166,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if self._calq is None:
-            heapq.heappush(
-                self._heap, (self._now + delay, next(self._seq), callback)
-            )
-        else:
-            self._calq.push((self._now + delay, next(self._seq), callback))
-        self._live += 1
+        heapq.heappush(self._heap, (self._now + delay, next(self._seq), callback))
 
     def schedule_call(self, delay: float, callback, arg) -> None:
         """Like :meth:`schedule_fast` but invokes ``callback(arg)``.
@@ -195,19 +176,9 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if self._calq is None:
-            heapq.heappush(
-                self._heap, (self._now + delay, next(self._seq), callback, arg)
-            )
-        else:
-            self._calq.push((self._now + delay, next(self._seq), callback, arg))
-        self._live += 1
-
-    def _push(self, entry: tuple) -> None:
-        if self._calq is None:
-            heapq.heappush(self._heap, entry)
-        else:
-            self._calq.push(entry)
+        heapq.heappush(
+            self._heap, (self._now + delay, next(self._seq), callback, arg)
+        )
 
     def reschedule(self, event: Event, delay: float) -> Event:
         """Re-arm an **executed** :class:`Event` ``delay`` microseconds from
@@ -231,8 +202,7 @@ class Simulator:
         event.time = self._now + delay
         event.seq = next(self._seq)
         event._done = False
-        self._push((event.time, event.seq, event))
-        self._live += 1
+        heapq.heappush(self._heap, (event.time, event.seq, event))
         self._reused += 1
         return event
 
@@ -313,100 +283,17 @@ class Simulator:
         schedule_fast(interval, fire)
         return handle
 
-    def call_every_batched(
-        self,
-        interval: float,
-        callback: Callable[[], None],
-        jitter: float = 0.0,
-        rng=None,
-        batch: int = 64,
-    ) -> "FastPeriodicHandle":
-        """Batched arrival generation: pre-draw and pre-schedule ``batch``
-        ticks per refill instead of one reschedule per tick.
-
-        The inter-arrival samples for a whole block are drawn in one tight
-        loop (vectorized sampling per stream) and pushed as bare heap
-        tuples; a single refill entry rides after the block's last tick.
-        Statistically the tick process matches :meth:`call_every_fast`
-        (same jitter distribution, same mean rate), but it is **opt-in**
-        precisely because it is *not* draw-for-draw identical: a stream
-        draws its whole block up front, so draws interleave differently
-        with any other use of the same ``rng`` — recorded experiments that
-        promise byte-identical output must keep the unbatched loop.
-        Cancellation leaves the rest of the current block in the queue as
-        no-ops (up to ``batch`` dead entries).
-        """
-        if interval <= 0:
-            raise SimulationError(f"interval must be positive, got {interval}")
-        if batch < 1:
-            raise SimulationError(f"batch must be >= 1, got {batch}")
-        if jitter and rng is None:
-            raise SimulationError("jitter requires an rng")
-        handle = FastPeriodicHandle()
-
-        def tick() -> None:
-            if not handle.cancelled:
-                callback()
-
-        def refill() -> None:
-            if handle.cancelled:
-                return
-            seq = self._seq
-            entries = []
-            if jitter:
-                rand = rng.random
-                low = 1.0 - jitter
-                span = 2.0 * jitter
-                t = self._now
-                for _ in range(batch):
-                    t += interval * (low + span * rand())
-                    entries.append((t, next(seq), tick))
-            else:
-                now = self._now
-                for i in range(1, batch + 1):
-                    entries.append((now + interval * i, next(seq), tick))
-                t = entries[-1][0]
-            # the refill shares the last tick's time but a later seq, so it
-            # runs immediately after it and tops the queue back up
-            entries.append((t, next(seq), refill))
-            if self._calq is None:
-                heap = self._heap
-                push = heapq.heappush
-                for entry in entries:
-                    push(heap, entry)
-            else:
-                self._calq.push_many(entries)
-            self._live += len(entries)
-
-        refill()
-        return handle
-
     # -- running -------------------------------------------------------
-
-    def _pop_next(self) -> Optional[tuple]:
-        """Pop the next entry from whichever queue backs this simulator."""
-        if self._calq is None:
-            if not self._heap:
-                return None
-            return heapq.heappop(self._heap)
-        return self._calq.pop()
-
-    def _peek_next(self) -> Optional[tuple]:
-        if self._calq is None:
-            if not self._heap:
-                return None
-            return self._heap[0]
-        return self._calq.peek()
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
-        while True:
-            entry = self._pop_next()
-            if entry is None:
-                return False
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
             payload = entry[2]
             if payload.__class__ is Event:
                 if payload.cancelled:
+                    self._cancelled -= 1
                     continue
                 payload._done = True
                 callback = payload.callback
@@ -417,12 +304,12 @@ class Simulator:
                 raise SimulationError("event heap corrupted: time went backwards")
             self._now = time
             self._executed += 1
-            self._live -= 1
             if len(entry) == 4:
                 callback(entry[3])
             else:
                 callback()
             return True
+        return False
 
     def run_until(self, time: float, max_events: Optional[int] = None) -> None:
         """Run events until the clock reaches ``time`` (inclusive of events
@@ -441,81 +328,60 @@ class Simulator:
             raise SimulationError(f"cannot run backwards to t={time}")
         self._running = True
         try:
-            if self._calq is None:
-                self._run_heap_until(time, max_events)
+            if max_events is None:
+                self._run_until(time)
             else:
-                self._run_calendar_until(time, max_events)
+                self._run_budgeted(time, max_events)
             self._now = max(self._now, time)
         finally:
             self._running = False
 
-    def _run_heap_until(self, time: float, max_events: Optional[int]) -> None:
-        """The inlined hot loop: local aliases, tuple entries, no step()
-        call overhead.  Semantics match the documented run_until contract."""
+    def _run_until(self, time: float) -> None:
+        """The hot loop: local aliases, tuple entries, no step() call and
+        no budget test."""
         heap = self._heap
         pop = heapq.heappop
-        budget = max_events
         event_class = Event
         while heap:
             entry = heap[0]
-            entry_time = entry[0]
-            payload = entry[2]
-            if payload.__class__ is event_class and payload.cancelled:
-                # Purge without charging the budget: only executed
-                # callbacks count against max_events.
-                pop(heap)
-                continue
-            if entry_time > time:
+            if entry[0] > time:
                 break
-            if budget is not None:
-                if budget <= 0:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} before t={time}"
-                    )
-                budget -= 1
             pop(heap)
-            self._now = entry_time
-            self._executed += 1
-            self._live -= 1
+            payload = entry[2]
             if payload.__class__ is event_class:
+                if payload.cancelled:
+                    self._cancelled -= 1
+                    continue
                 payload._done = True
-                payload.callback()
-            elif len(entry) == 4:
+                payload = payload.callback
+            self._now = entry[0]
+            self._executed += 1
+            if len(entry) == 4:
                 payload(entry[3])
             else:
                 payload()
 
-    def _run_calendar_until(self, time: float, max_events: Optional[int]) -> None:
-        calq = self._calq
+    def _run_budgeted(self, time: float, max_events: int) -> None:
+        """:meth:`run_until` under a ``max_events`` budget."""
+        heap = self._heap
         budget = max_events
-        event_class = Event
-        while True:
-            entry = calq.peek()
-            if entry is None:
-                break
+        while heap:
+            entry = heap[0]
             payload = entry[2]
-            if payload.__class__ is event_class and payload.cancelled:
-                calq.pop()
+            if payload.__class__ is Event and payload.cancelled:
+                # Purge without charging the budget: only executed
+                # callbacks count against max_events.
+                heapq.heappop(heap)
+                self._cancelled -= 1
                 continue
             if entry[0] > time:
                 break
-            if budget is not None:
-                if budget <= 0:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} before t={time}"
-                    )
-                budget -= 1
-            calq.pop()
-            self._now = entry[0]
-            self._executed += 1
-            self._live -= 1
-            if payload.__class__ is event_class:
-                payload._done = True
-                payload.callback()
-            elif len(entry) == 4:
-                payload(entry[3])
-            else:
-                payload()
+            if budget <= 0:
+                raise SimulationError(
+                    f"exceeded max_events={max_events} before t={time}"
+                )
+            budget -= 1
+            self.step()
 
     def run(self, max_events: int = 10_000_000) -> None:
         """Run until the event heap is empty (bounded by ``max_events``)."""

@@ -66,24 +66,34 @@ class FifoQueue:
 
     def push(self, item: Any) -> bool:
         """Enqueue; returns False (and counts a drop) if the queue is full."""
-        if self.full:
-            self.stats.dropped += 1
+        # hot path: ``full`` and ``_account`` inlined
+        items = self._items
+        stats = self.stats
+        depth = len(items)
+        if self.capacity is not None and depth >= self.capacity:
+            stats.dropped += 1
             return False
-        self._account()
-        self._items.append(item)
-        self.stats.enqueued += 1
-        if len(self._items) > self.stats.peak_depth:
-            self.stats.peak_depth = len(self._items)
+        now = self._sim._now
+        stats.depth_time_integral += depth * (now - stats._last_change)
+        stats._last_change = now
+        items.append(item)
+        stats.enqueued += 1
+        if depth + 1 > stats.peak_depth:
+            stats.peak_depth = depth + 1
         return True
 
     def pop(self) -> Optional[Any]:
         """Dequeue the oldest item, or None if empty."""
-        if not self._items:
+        # hot path: ``_account`` inlined
+        items = self._items
+        if not items:
             return None
-        self._account()
-        item = self._items.popleft()
-        self.stats.dequeued += 1
-        return item
+        stats = self.stats
+        now = self._sim._now
+        stats.depth_time_integral += len(items) * (now - stats._last_change)
+        stats._last_change = now
+        stats.dequeued += 1
+        return items.popleft()
 
     def peek(self) -> Optional[Any]:
         """Oldest item without removing it, or None."""

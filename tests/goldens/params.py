@@ -38,11 +38,24 @@ SWEEP_HETERO_PARAMS = dict(
     keyspace=4_000,
 )
 
+#: Two-rack leaf-spine grid: queueing uplinks, spine routes and per-ToR
+#: shard dispatch, which the single-ToR fixtures above never exercise.
+SWEEP_FABRIC_PARAMS = dict(
+    racks=(1, 2),
+    hosts_per_rack=1,
+    rates_kpps=(16.0, 48.0),
+    duration_s=0.05,
+)
+
 GOLDENS = {
     "fig6_kvs_transition.txt": ("fig6", FIG6_PARAMS),
     "fig7_paxos_transition.txt": ("fig7", FIG7_PARAMS),
     "sweep_rack_kvs.txt": ("sweep-rack-kvs", SWEEP_KVS_PARAMS),
     "sweep_rack_hetero.txt": ("sweep-rack-hetero", SWEEP_HETERO_PARAMS),
+    "sweep_fabric_aggregates.txt": (
+        "sweep-fabric-aggregates",
+        SWEEP_FABRIC_PARAMS,
+    ),
 }
 
 
@@ -58,4 +71,15 @@ def generate(kind: str, params: dict) -> str:
         return run_figure7(**params).render()
     from repro.scenarios import build_sweep_spec, run_sweep
 
+    if kind == "sweep-fabric-aggregates":
+        # The full-precision repr of every pinned aggregate: the rendered
+        # table rounds to 0.1 and would hide two equal-time events
+        # running in a different order.
+        result = run_sweep(build_sweep_spec("sweep-fabric-scale", **params))
+        lines = []
+        for pt in result.points:
+            lines.append(f"{pt.params!r}")
+            for mode in ("software", "hardware", "ondemand"):
+                lines.append(f"  {mode}: {getattr(pt, mode)!r}")
+        return "\n".join(lines) + "\n"
     return run_sweep(build_sweep_spec(kind, **params)).render()

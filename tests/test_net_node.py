@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.net.node import CallbackNode, Node, SinkNode
 from repro.net.packet import TrafficClass, make_packet
 from repro.sim import Simulator
@@ -9,7 +10,7 @@ from repro.sim import Simulator
 
 def test_send_without_egress_raises():
     node = Node(Simulator(), "n")
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ConfigurationError):
         node.send(make_packet("n", "x", TrafficClass.NORMAL))
 
 

@@ -133,3 +133,52 @@ def test_remove_dispatch():
     switch.receive(make_packet("a", "kvs-rack", TrafficClass.MEMCACHED, now=sim.now))
     sim.run()
     assert switch.dropped_no_route == 1
+
+
+def test_cached_lookups_follow_every_table_write():
+    """The match and egress caches: one (class, dst) pair is sent between
+    control-plane writes, one write at a time.  Each packet follows the
+    table as it stands, and every counter moves per packet."""
+    sim, switch, nodes = _star()
+    ghost = SinkNode(sim, "ghost")
+    paxos = TrafficClass.PAXOS
+    sent = []
+
+    def send():
+        sent.append(len(sent))
+        switch.receive(make_packet("x", "svc", paxos, payload=sent[-1]))
+        sim.run()
+
+    send()  # 0: no rule, no dispatcher, no route -> cached drop
+    switch.install_rule(ForwardingRule(paxos, "svc", "b"))
+    send()  # 1: redirected to b
+    switch.remove_rule(paxos, "svc")
+    send()  # 2: dropped again
+    switch.install_dispatch(paxos, "svc", lambda packet: "ghost")
+    send()  # 3: dispatched to "ghost", which has no port or route: drop
+    switch.add_route("ghost", "c")
+    send()  # 4: the cached drop is replaced: routed out the port toward c
+    switch.connect(ghost, Link(sim, ghost))
+    send()  # 5: a direct port now beats the route
+    switch.remove_dispatch(paxos, "svc")
+    send()  # 6: "svc" itself has no port or route: drop
+    switch.set_default_route("a")
+    send()  # 7: default-routed out the port toward a
+
+    def payloads(node):
+        return [packet.payload for packet in node.received]
+
+    assert payloads(nodes["b"]) == [1]
+    assert payloads(nodes["c"]) == [4]
+    assert payloads(ghost) == [5]
+    assert payloads(nodes["a"]) == [7]
+    assert switch.rx_packets == 8
+    assert switch.forwarded == 4
+    assert switch.redirected == 1
+    assert switch.dispatched == 3
+    assert switch.routed == 2
+    assert switch.dropped_no_route == 4
+    assert switch.class_counters == {
+        tc: (8 if tc is paxos else 0) for tc in TrafficClass
+    }
+    assert switch.logical_counters == {(paxos, "svc"): 4}

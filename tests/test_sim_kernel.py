@@ -251,105 +251,108 @@ def test_call_every_fast_validation():
         sim.call_every_fast(10.0, lambda: None, jitter=0.3)  # jitter needs rng
 
 
-# -- batched arrival generation ----------------------------------------------
+# -- the one heap ------------------------------------------------------------
 
 
-def test_call_every_batched_unjittered_ticks_are_exact():
-    sim = Simulator()
-    fired = []
-    sim.call_every_batched(10.0, lambda: fired.append(sim.now), batch=4)
-    sim.run_until(100.0)
-    # the refill entry chains blocks at the last tick's time, so the tick
-    # train continues seamlessly across block boundaries
-    assert fired == [10.0 * i for i in range(1, 11)]
-
-
-def test_call_every_batched_cancel_stops_ticks():
-    sim = Simulator()
-    fired = []
-    handle = sim.call_every_batched(10.0, lambda: fired.append(sim.now), batch=8)
-    sim.run_until(25.0)
-    handle.cancel()
-    sim.run_until(500.0)  # the rest of the block no-ops
-    assert fired == [10.0, 20.0]
-
-
-def test_call_every_batched_jittered_rate_and_gaps():
+def test_heap_runs_every_entry_kind_in_time_then_schedule_order():
+    """Event, fast, call and Link entries share one heap and one seq
+    counter: they run in order of time, then of scheduling, which a
+    sorted oracle over (time, schedule index) predicts exactly."""
     import random
 
-    sim = Simulator()
-    fired = []
-    sim.call_every_batched(
-        10.0, lambda: fired.append(sim.now), jitter=0.3,
-        rng=random.Random(9), batch=16,
-    )
-    sim.run_until(10_000.0)
-    # mean inter-arrival is the interval; ~1000 ticks over 10ms
-    assert abs(len(fired) - 1000) <= 60
-    gaps = [b - a for a, b in zip(fired, fired[1:])]
-    # every gap (including across refill boundaries) is interval*(1±jitter)
-    assert all(6.999 <= g <= 13.001 for g in gaps)
-
-
-def test_call_every_batched_validation():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.call_every_batched(0.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.call_every_batched(10.0, lambda: None, batch=0)
-    with pytest.raises(SimulationError):
-        sim.call_every_batched(10.0, lambda: None, jitter=0.3)  # needs rng
-
-
-# -- the calendar-queue scheduler --------------------------------------------
-
-
-def test_unknown_scheduler_rejected():
-    with pytest.raises(SimulationError):
-        Simulator(scheduler="fifo")
-
-
-def test_calendar_scheduler_matches_heap_order():
-    """Both schedulers pop in (time, seq) order, so a mixed event/fast/call
-    schedule executes identically under either queue."""
-    import random
+    from repro.net import Link, TrafficClass
+    from repro.net.node import CallbackNode
+    from repro.net.packet import make_packet
 
     rng = random.Random(17)
-    times = [rng.uniform(0.0, 50.0) for _ in range(300)]
-    orders = []
-    for scheduler in ("heap", "calendar"):
-        sim = Simulator(scheduler=scheduler)
-        order = []
-        for i, t in enumerate(times):
-            if i % 3 == 0:
-                sim.schedule(t, lambda i=i: order.append(i))
-            elif i % 3 == 1:
-                sim.schedule_fast(t, lambda i=i: order.append(i))
+    sim = Simulator()
+    order = []
+    sink = CallbackNode(sim, "sink", lambda packet: order.append(packet.payload))
+    expected = []
+    for i in range(300):
+        # half the times are whole microseconds, so many entries tie
+        if rng.random() < 0.5:
+            t = float(rng.randrange(25))
+        else:
+            t = rng.uniform(0.0, 50.0)
+        kind = i % 5
+        if kind == 0:
+            sim.schedule(t, lambda i=i: order.append(i))
+        elif kind == 1:
+            sim.schedule_fast(t, lambda i=i: order.append(i))
+        elif kind == 2:
+            sim.schedule_call(t, order.append, i)
+        else:
+            link = Link(sim, sink, latency_us=t, queueing=kind == 4)
+            link.send(
+                make_packet(
+                    "src", "sink", TrafficClass.NORMAL, payload=i, size_bytes=70
+                )
+            )
+            # delivered at now (0.0) + the delay each send variant computes
+            serialization = 70 * 8 / link.bandwidth_bps * 1e6
+            if link.queueing:
+                t = 0.0 + serialization + t
             else:
-                sim.schedule_call(t, order.append, i)
-        sim.run()
-        orders.append(order)
-    assert orders[0] == orders[1]
+                t = t + serialization
+        expected.append((t, i))
+    sim.run()
+    assert order == [i for _, i in sorted(expected)]
 
 
-def test_calendar_scheduler_cancellation_and_periodics():
-    sim = Simulator(scheduler="calendar")
-    fired = []
-    cancelled = sim.schedule(25.0, lambda: fired.append("cancelled"))
+def test_pending_and_executed_are_exact_inside_a_callback():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: None)
+    cancelled = sim.schedule(2.0, lambda: None)
+    sim.schedule_fast(3.0, lambda: seen.append((sim.pending, sim.events_executed)))
+    sim.schedule_call(4.0, seen.append, "last")
     cancelled.cancel()
-    handle = sim.call_every_fast(10.0, lambda: fired.append(sim.now))
-    sim.run_until(45.0)
-    handle.cancel()
-    sim.run_until(100.0)
-    assert fired == [10.0, 20.0, 30.0, 40.0]
+    assert sim.pending == 3
+    sim.run_until(10.0)
+    # at t=3 the t=1 event ran, the t=2 one was purged, the t=4 call waits
+    assert seen == [(1, 2), "last"]
+    assert sim.pending == 0
+    assert sim.events_executed == 3
 
 
-def test_calendar_scheduler_batched_ticks():
-    sim = Simulator(scheduler="calendar")
+def test_counters_are_exact_after_a_callback_raises():
+    """A callback raising out of run_until leaves pending and
+    events_executed exact, and a later run_until carries on from there."""
+    sim = Simulator()
     fired = []
-    sim.call_every_batched(10.0, lambda: fired.append(sim.now), batch=4)
-    sim.run_until(100.0)
-    assert fired == [10.0 * i for i in range(1, 11)]
+
+    def boom():
+        raise ValueError("boom")
+
+    sim.schedule(1.0, lambda: fired.append(1.0))
+    sim.schedule_fast(2.0, boom)
+    sim.schedule(3.0, lambda: fired.append(3.0)).cancel()
+    sim.schedule_call(4.0, fired.append, 4.0)
+    with pytest.raises(ValueError):
+        sim.run_until(10.0)
+    assert sim.now == 2.0
+    assert sim.events_executed == 2
+    assert sim.pending == 1  # the cancelled t=3 entry does not count
+    sim.run_until(10.0)
+    assert fired == [1.0, 4.0]
+    assert sim.events_executed == 3
+    assert sim.pending == 0
+    assert sim.now == 10.0
+
+
+def test_pending_and_executed_exact_under_a_budget():
+    sim = Simulator()
+    for i in range(5):
+        sim.schedule(float(i + 1), lambda: None)
+    sim.schedule(2.5, lambda: None).cancel()
+    with pytest.raises(SimulationError):
+        sim.run_until(10.0, max_events=3)
+    assert sim.events_executed == 3
+    assert sim.pending == 2
+    sim.run_until(10.0)
+    assert sim.events_executed == 5
+    assert sim.pending == 0
 
 
 # -- event pooling (reschedule) ----------------------------------------------
@@ -417,12 +420,3 @@ def test_call_every_cancel_still_works_with_pooling():
     handle.cancel()
     sim.run_until(10.0)
     assert ticks == [1.0, 2.0, 3.0]
-
-
-def test_call_every_pooling_under_calendar_scheduler():
-    sim = Simulator(scheduler="calendar")
-    ticks = []
-    sim.call_every(2.0, lambda: ticks.append(sim.now))
-    sim.run_until(10.0)
-    assert ticks == [2.0, 4.0, 6.0, 8.0, 10.0]
-    assert sim.events_reused == 5
