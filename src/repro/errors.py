@@ -1,8 +1,27 @@
 """Exception hierarchy for the repro package.
 
-All errors raised by this package derive from :class:`ReproError`, so callers
-can catch everything from the library with a single ``except`` clause while
-still being able to distinguish the failure domains below.
+Every error this package raises for bad input (a spec, a parameter, a
+configuration) or for a failure it detects while running derives from
+:class:`ReproError`, so callers can catch everything from the library with
+a single ``except`` clause while still being able to distinguish the
+failure domains below.
+
+Programming errors are the one exception.  They signal a bug in the
+calling code rather than bad input, so they stay stdlib exceptions that a
+``ReproError`` handler does not swallow:
+
+* ``TypeError`` from an app's ``handle_request`` given another protocol's
+  payload (``SoftwareMemcached``, ``LakeKvs``, ``SoftwareNsd``,
+  ``EmuDns``): a mis-wired topology delivered the packet.
+* ``ValueError`` from a reduction over no samples: ``TimeSeries.mean``
+  ("no samples in window"), ``LatencyRecorder.mean``, the recorder's
+  percentiles of an empty sequence or outside [0, 100], and the
+  scenario builder's ``windowed_mean`` ("no ... samples in window").  The
+  caller asked about a window the run never sampled.
+* ``KeyError`` from a lookup of something a result does not hold:
+  ``ScenarioSweepResult.point``, ``ScenarioResult.host`` and
+  ``ScenarioResult.paxos_group``, and the figure tables' ``bar`` and
+  ``total``.
 """
 
 

@@ -73,7 +73,7 @@ class PacketClassifier:
         """Enable/disable hardware processing for a class (the shift)."""
         rule = self._rules.get(traffic_class)
         if rule is None:
-            raise KeyError(f"no classifier rule for {traffic_class}")
+            raise ConfigurationError(f"no classifier rule for {traffic_class}")
         rule.offload_enabled = enabled
 
     def offload_enabled(self, traffic_class: TrafficClass) -> bool:

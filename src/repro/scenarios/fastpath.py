@@ -41,9 +41,10 @@ wrong sweep — is what fails.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import calibration as cal
 from ..errors import ConfigurationError
@@ -54,7 +55,7 @@ from ..steady.fabric import FabricUplinkModel
 from ..steady.kvs import memcached_model
 from ..steady.ondemand import device_hardware_model
 from ..workloads.etc import ShardedEtcWorkload
-from .spec import ScenarioSpec
+from .spec import FabricSpec, KvsHostSpec, ScenarioSpec
 
 #: Relative error the DES-vs-analytic gate tolerates per compared metric.
 #: Short DES horizons carry warm-up and sampling noise; the analytic curve
@@ -72,14 +73,25 @@ def _rack_steady_shape(spec: ScenarioSpec) -> bool:
     :mod:`repro.steady.fabric`), but a live centralized fabric controller
     or a ``served_by`` shard donation means serving assignments can move
     mid-run — those always replay the DES."""
+    return _fleet_steady_shape(spec) and _hosts_steady_shape(spec.kvs_hosts)
+
+
+def _fleet_steady_shape(spec: ScenarioSpec) -> bool:
+    """The spec-level half of :func:`_rack_steady_shape`: KVS hosts and
+    nothing else, no centralized fabric controller, a phase-free
+    workload."""
     if not spec.kvs_hosts or spec.paxos_groups or spec.dns_hosts:
         return False
     if spec.fabric_controller is not None:
         return False
-    if any(host.served_by is not None for host in spec.kvs_hosts):
-        return False
     workload = spec.kvs_workload
     return workload is not None and not workload.phases
+
+
+def _hosts_steady_shape(hosts: Sequence[KvsHostSpec]) -> bool:
+    """The host-level half of :func:`_rack_steady_shape`: no ``served_by``
+    shard donation anywhere in the rack."""
+    return all(host.served_by is None for host in hosts)
 
 
 def host_steady_eligible(host) -> bool:
@@ -213,19 +225,23 @@ def _fabric_uplink_model(spec: ScenarioSpec) -> FabricUplinkModel:
     )
 
 
-def _host_racks(spec: ScenarioSpec, host) -> Tuple[str, str]:
+def _host_racks(fabric: FabricSpec, host: KvsHostSpec) -> Tuple[str, str]:
     """``(host_rack, client_rack)`` of one placement.  The client rack is
     read off the (possibly rack-qualified) client name — a bare client
     name enters the fabric at its host's own ToR."""
-    host_rack = spec.host_rack(host)
+    host_rack = fabric.rack_of(host)
     client_rack, _ = split_rack(host.resolved_client_name())
     return host_rack, client_rack or host_rack
 
 
 def _uplink_direction_loads(
-    spec: ScenarioSpec, rates: Sequence[float]
+    rack_names: Sequence[str],
+    racks: Sequence[Tuple[str, str]],
+    rates: Sequence[float],
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Offered pps on each uplink direction: ``(up[rack], down[rack])``.
+    """Offered pps on each uplink direction: ``(up[rack], down[rack])``,
+    from every host's :func:`_host_racks` pair and offered rate, in host
+    order.
 
     This is the spec-derived cross-rack subset — analytically, the same
     packets the DES transit identity ``sum(ToRs) − spine`` isolates: a
@@ -234,14 +250,11 @@ def _uplink_direction_loads(
     always cover the **whole** fleet, not just an estimated subset: the
     FIFO uplinks queue everyone's packets together.
     """
-    racks = spec.fabric.rack_names()
-    up = {rack: 0.0 for rack in racks}
-    down = {rack: 0.0 for rack in racks}
-    for i, host in enumerate(spec.kvs_hosts):
-        host_rack, client_rack = _host_racks(spec, host)
+    up = {rack: 0.0 for rack in rack_names}
+    down = {rack: 0.0 for rack in rack_names}
+    for (host_rack, client_rack), rate in zip(racks, rates):
         if client_rack == host_rack:
             continue
-        rate = rates[i]
         up[client_rack] += rate    # requests leave the client's rack
         down[host_rack] += rate    # ...and enter the host's rack
         up[host_rack] += rate      # responses leave the host's rack
@@ -302,6 +315,94 @@ def _grid_host_constants(
     )
 
 
+class _HostLayout(NamedTuple):
+    """What :func:`steady_grid` needs of one host tuple that its offered
+    rates cannot change (see :func:`_host_layout`).  Positions count the
+    selected hosts, in ``host_indices`` order."""
+
+    #: placement keys (rack-qualified on a fabric), one per position
+    keys: Tuple[str, ...]
+    #: positions on the software curve, and their nine constant columns
+    sw_pos: Tuple[int, ...]
+    sw_columns: Tuple[Tuple[float, ...], ...]
+    #: positions on a card's line, and their four constant columns
+    hw_pos: Tuple[int, ...]
+    hw_columns: Tuple[Tuple[float, ...], ...]
+    #: the fabric's racks, and ``(host rack, client rack)`` of **every**
+    #: host in the rack (the uplink loads cover the whole fleet)
+    rack_names: Tuple[str, ...]
+    racks: Tuple[Tuple[str, str], ...]
+    #: the cross-rack selected hosts: positions, host racks, client racks
+    cross_pos: Tuple[int, ...]
+    cross_host_racks: Tuple[str, ...]
+    cross_client_racks: Tuple[str, ...]
+
+
+@lru_cache(maxsize=128)
+def _host_layout(
+    kvs_hosts: Tuple[KvsHostSpec, ...],
+    fabric: Optional[FabricSpec],
+    mode: str,
+    host_indices: Optional[Tuple[int, ...]],
+) -> Optional[_HostLayout]:
+    """The rate-independent part of :func:`steady_grid`'s host records,
+    memoized by value per (hosts, fabric, mode, host subset): every rate
+    of a ramp group declares the same hosts, so a grid builds one layout
+    per ramp group and pin instead of one per point.  None when a
+    selected host is not steady-state eligible or the rack donates a
+    shard (``served_by``)."""
+    indices = range(len(kvs_hosts)) if host_indices is None else host_indices
+    if not _hosts_steady_shape(kvs_hosts) or not all(
+        host_steady_eligible(kvs_hosts[i]) for i in indices
+    ):
+        return None
+    racks = (
+        () if fabric is None
+        else tuple(_host_racks(fabric, host) for host in kvs_hosts)
+    )
+    keys: List[str] = []
+    sw_pos: List[int] = []
+    hw_pos: List[int] = []
+    sw_columns: List[List[float]] = [[] for _ in range(9)]
+    hw_columns: List[List[float]] = [[] for _ in range(4)]
+    cross: List[Tuple[int, str, str]] = []  # (position, host, client rack)
+    for pos, i in enumerate(indices):
+        host = kvs_hosts[i]
+        constants = _grid_host_constants(
+            host.device.kind, host.device.is_offload, host.power_save, mode
+        )
+        if constants[0] == "software":
+            sw_pos.append(pos)
+            columns = sw_columns
+        else:
+            hw_pos.append(pos)
+            columns = hw_columns
+        for column, value in zip(columns, constants[1:]):
+            column.append(value)
+        if fabric is None:
+            keys.append(host.name)
+            continue
+        host_rack, client_rack = racks[i]
+        keys.append(rack_qualified(host_rack, host.name))
+        if client_rack != host_rack:
+            cross.append((pos, host_rack, client_rack))
+    cross_pos, cross_host_racks, cross_client_racks = (
+        tuple(map(tuple, zip(*cross))) if cross else ((), (), ())
+    )
+    return _HostLayout(
+        keys=tuple(keys),
+        sw_pos=tuple(sw_pos),
+        sw_columns=tuple(map(tuple, sw_columns)),
+        hw_pos=tuple(hw_pos),
+        hw_columns=tuple(map(tuple, hw_columns)),
+        rack_names=() if fabric is None else fabric.rack_names(),
+        racks=racks,
+        cross_pos=cross_pos,
+        cross_host_racks=cross_host_racks,
+        cross_client_racks=cross_client_racks,
+    )
+
+
 def steady_grid(
     specs: Sequence[ScenarioSpec],
     mode: str,
@@ -319,6 +420,17 @@ def steady_grid(
     sum, the served-weighted p50) stay in python, in host order, so a
     spec's estimate does not depend on the batch it was answered in.
 
+    Everything about a spec's hosts that its offered rates cannot change
+    — host eligibility, each host's model constants, placement keys,
+    host and client racks, the software/hardware positions and their
+    constant columns — comes from :func:`_host_layout`, an LRU of 128
+    layouts keyed by value on (``kvs_hosts``, ``fabric``, ``mode``,
+    ``host_indices``) and emptied by
+    :func:`~repro.scenarios.sweep.clear_spec_cache`.  Per spec, only the
+    rate split, the uplink direction loads and the uplink model are
+    computed; specs sharing one host tuple object (a ramp group's pinned
+    variants) look their layout up once per call.
+
     ``host_indices`` restricts every estimate to a subset of its rack's
     hosts (the per-placement fast path: analytics for the pinned hosts of
     a mixed rack while the shifting ones run DES).  Rates always come
@@ -335,7 +447,7 @@ def steady_grid(
         raise ConfigurationError(
             f"fast path answers {', '.join(_FASTPATH_MODES)}; got {mode!r}"
         )
-    specs = list(specs)
+    indices = None if host_indices is None else tuple(host_indices)
     # -- flatten: one record per (spec, host) --------------------------------
     flat_rate: List[float] = []
     sw_slots: List[int] = []
@@ -348,67 +460,54 @@ def steady_grid(
     cross_lat: List[float] = []
     cross_ser: List[float] = []
     cross_cap: List[float] = []
-    layouts = []  # per spec: (slot_lo, offered rates, placement keys)
+    spans = []  # per spec: (slot_lo, placement keys)
+    # a ramp group's pinned variants share one host tuple object, so this
+    # call hashes each tuple once, not once per spec
+    layouts: Dict[Tuple[int, Optional[FabricSpec]], Optional[_HostLayout]] = {}
     for spec in specs:
-        if host_indices is None:
-            indices = range(len(spec.kvs_hosts))
-            eligible = steady_eligible(spec)
-        else:
-            indices = host_indices
-            eligible = _rack_steady_shape(spec) and all(
-                host_steady_eligible(spec.kvs_hosts[i]) for i in indices
-            )
-        if not eligible:
+        layout = None
+        if _fleet_steady_shape(spec):
+            ident = (id(spec.kvs_hosts), spec.fabric)
+            layout = layouts.get(ident)
+            if layout is None:
+                layout = layouts[ident] = _host_layout(
+                    spec.kvs_hosts, spec.fabric, mode, indices
+                )
+        if layout is None:
             raise ConfigurationError(
                 f"scenario {spec.name!r} is not steady-state eligible "
                 "(see scenarios.fastpath.steady_eligible)"
             )
         rates = _per_host_rates(spec)
-        fabric = spec.fabric
-        if fabric is not None:
-            uplink = _fabric_uplink_model(spec)
-            serialization_us = uplink.serialization_us
-            capacity_pps = uplink.capacity_pps
-            up_loads, down_loads = _uplink_direction_loads(spec, rates)
         slot_lo = len(flat_rate)
-        keys = []
-        for i in indices:
-            host = spec.kvs_hosts[i]
-            slot = len(flat_rate)
-            flat_rate.append(rates[i])
-            constants = _grid_host_constants(
-                host.device.kind,
-                host.device.is_offload,
-                host.power_save,
-                mode,
+        flat_rate.extend(
+            rates if indices is None else [rates[i] for i in indices]
+        )
+        sw_slots.extend([slot_lo + pos for pos in layout.sw_pos])
+        for column, block in zip(sw_const, layout.sw_columns):
+            column.extend(block)
+        hw_slots.extend([slot_lo + pos for pos in layout.hw_pos])
+        for column, block in zip(hw_const, layout.hw_columns):
+            column.extend(block)
+        if layout.cross_pos:
+            uplink = _fabric_uplink_model(spec)
+            up_loads, down_loads = _uplink_direction_loads(
+                layout.rack_names, layout.racks, rates
             )
-            if constants[0] == "software":
-                sw_slots.append(slot)
-                for column, value in zip(sw_const, constants[1:]):
-                    column.append(value)
-            else:
-                hw_slots.append(slot)
-                for column, value in zip(hw_const, constants[1:]):
-                    column.append(value)
-            key = host.name
-            if fabric is not None:
-                host_rack, client_rack = _host_racks(spec, host)
-                key = rack_qualified(host_rack, host.name)
-                if client_rack != host_rack:
-                    cross_slots.append(slot)
-                    directions = (
-                        up_loads[client_rack],
-                        down_loads[host_rack],
-                        up_loads[host_rack],
-                        down_loads[client_rack],
-                    )
-                    for column, load in zip(cross_loads, directions):
-                        column.append(load)
-                    cross_lat.append(uplink.latency_us)
-                    cross_ser.append(serialization_us)
-                    cross_cap.append(capacity_pps)
-            keys.append(key)
-        layouts.append((slot_lo, [rates[i] for i in indices], keys))
+            host_racks = layout.cross_host_racks
+            client_racks = layout.cross_client_racks
+            cross_slots.extend([slot_lo + pos for pos in layout.cross_pos])
+            # request: client-rack up, host-rack down; response: host-rack
+            # up, client-rack down
+            cross_loads[0].extend([up_loads[r] for r in client_racks])
+            cross_loads[1].extend([down_loads[r] for r in host_racks])
+            cross_loads[2].extend([up_loads[r] for r in host_racks])
+            cross_loads[3].extend([down_loads[r] for r in client_racks])
+            count = len(host_racks)
+            cross_lat.extend([uplink.latency_us] * count)
+            cross_ser.extend([uplink.serialization_us] * count)
+            cross_cap.extend([uplink.capacity_pps] * count)
+        spans.append((slot_lo, layout.keys))
     # -- evaluate the flattened records through the array kernels ------------
     n = len(flat_rate)
     power = [0.0] * n
@@ -457,28 +556,26 @@ def steady_grid(
             steady_grid_kernels.throughput_factor(loads, cross_cap)
             for loads in cross_loads
         ]
-        for j, slot in enumerate(cross_slots):
-            adder = (
-                (crossings[0][j] + crossings[1][j]) + crossings[2][j]
-            ) + crossings[3][j]
-            latency[slot] = latency[slot] + adder
-            served[slot] = served[slot] * min(f[j] for f in factors)
+        for slot, c0, c1, c2, c3, f0, f1, f2, f3 in zip(
+            cross_slots, *crossings, *factors
+        ):
+            latency[slot] = latency[slot] + (((c0 + c1) + c2) + c3)
+            served[slot] = served[slot] * min(f0, f1, f2, f3)
     # -- per-spec reductions, in host order ----------------------------------
     estimates = []
-    for slot_lo, offered, keys in layouts:
-        slots = range(slot_lo, slot_lo + len(keys))
-        total_offered = sum(offered)
-        achieved = sum(served[s] for s in slots)
-        power_by_placement = {
-            key: power[s] for key, s in zip(keys, slots)
-        }
+    for slot_lo, keys in spans:
+        slot_hi = slot_lo + len(keys)
+        spec_served = served[slot_lo:slot_hi]
+        achieved = sum(spec_served)
+        power_by_placement = dict(zip(keys, power[slot_lo:slot_hi]))
         total_power = sum(power_by_placement.values())
-        total_served = sum(served[s] for s in slots) or 1.0
-        p50 = sum(served[s] * latency[s] for s in slots) / total_served
+        p50 = sum(
+            map(operator.mul, spec_served, latency[slot_lo:slot_hi])
+        ) / (achieved or 1.0)
         estimates.append(
             SteadyEstimate(
                 mode=mode,
-                offered_pps=total_offered,
+                offered_pps=sum(flat_rate[slot_lo:slot_hi]),
                 achieved_pps=achieved,
                 total_power_w=total_power,
                 p50_latency_us=p50,

@@ -19,7 +19,10 @@ shift to* is declarative as well, and racks may mix offload devices.
 
 Specs are frozen dataclasses so scenarios can be derived from one another
 with :func:`dataclasses.replace` (the registry test shortens horizons that
-way, and sweeps can scale host counts or rates).
+way, and sweeps can scale host counts or rates).  They also hash: a list
+given for a tuple field — placements, co-located jobs, Paxos shifts and
+acceptor hosts, controller and device params — is stored as a tuple, so
+the sweep engine can memoize pinned placements by value.
 """
 
 from __future__ import annotations
@@ -60,6 +63,22 @@ _KIND_PARAMS: Dict[str, FrozenSet[str]] = {
 
 #: (at_s, value) steps applied over a run, e.g. offered-rate ramps.
 PhaseSchedule = Tuple[Tuple[float, float], ...]
+
+
+def _frozen(value):
+    """``value`` with every list, at any depth, turned into a tuple: specs
+    are compared and memoized by value, so a list given where the spec
+    declares a tuple must not leave it unhashable."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(item) for item in value)
+    return value
+
+
+def _param_pairs(params) -> Tuple[Tuple[str, object], ...]:
+    """Controller/device ``params`` as hashable ``(name, value)`` pairs,
+    sorted when given as a mapping."""
+    items = sorted(params.items()) if isinstance(params, Mapping) else params
+    return tuple(_frozen(tuple(pair)) for pair in items)
 
 
 @dataclass(frozen=True)
@@ -149,6 +168,11 @@ class FabricSpec:
     def default_rack(self) -> str:
         return "rack0"
 
+    def rack_of(self, placement) -> str:
+        """The rack a placement (host spec or Paxos group) lives in: its
+        ``rack`` field, else the default rack."""
+        return placement.rack or self.default_rack
+
     def validate(self, owner: str) -> None:
         if self.racks < 1:
             raise ConfigurationError(
@@ -172,19 +196,15 @@ class ControllerSpec:
     groups); ``params`` carries family-specific overrides (threshold rates,
     window lengths, predictive margins, …) applied on top of each family's
     calibrated defaults.  ``params`` accepts a mapping and is normalized to
-    a sorted tuple of pairs so specs stay hashable and replace-derivable.
+    a sorted tuple of pairs, list values to tuples, so specs stay hashable
+    and replace-derivable.
     """
 
     kind: str = "host"
     params: Union[Mapping[str, object], Tuple[Tuple[str, object], ...]] = ()
 
     def __post_init__(self):
-        items = (
-            tuple(sorted(self.params.items()))
-            if isinstance(self.params, Mapping)
-            else tuple(tuple(pair) for pair in self.params)
-        )
-        object.__setattr__(self, "params", items)
+        object.__setattr__(self, "params", _param_pairs(self.params))
 
     def as_dict(self) -> Dict[str, object]:
         return dict(self.params)
@@ -237,12 +257,7 @@ class DeviceSpec:
     params: Union[Mapping[str, object], Tuple[Tuple[str, object], ...]] = ()
 
     def __post_init__(self):
-        items = (
-            tuple(sorted(self.params.items()))
-            if isinstance(self.params, Mapping)
-            else tuple(tuple(pair) for pair in self.params)
-        )
-        object.__setattr__(self, "params", items)
+        object.__setattr__(self, "params", _param_pairs(self.params))
 
     def as_dict(self) -> Dict[str, object]:
         return dict(self.params)
@@ -346,6 +361,10 @@ class KvsHostSpec:
     #: write ``"rack0/kvs0"`` to consolidate onto another rack — the
     #: centralized fabric controller can later steer the shard back out.
     served_by: Optional[str] = None
+
+    def __post_init__(self):
+        if not isinstance(self.colocated, tuple):
+            object.__setattr__(self, "colocated", tuple(self.colocated))
 
     def resolved_client_name(self) -> str:
         return self.client_name or f"{self.name}-client"
@@ -465,6 +484,10 @@ class PaxosSpec:
     #: ``<rack>/`` prefix).  Requires ``ScenarioSpec.fabric``.
     rack: Optional[str] = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "shifts", _frozen(tuple(self.shifts)))
+        object.__setattr__(self, "acceptor_hosts", tuple(self.acceptor_hosts))
+
     # -- derived addressing (the builder and validator share these) ----------
 
     @property
@@ -567,6 +590,13 @@ class ScenarioSpec:
     dns_workload: Optional[DnsWorkloadSpec] = None
     sampling: SamplingSpec = field(default_factory=SamplingSpec)
 
+    def __post_init__(self):
+        # placements given as lists would leave the spec unhashable
+        for name in ("kvs_hosts", "paxos_groups", "dns_hosts"):
+            value = getattr(self, name)
+            if not isinstance(value, tuple):
+                object.__setattr__(self, name, tuple(value))
+
     def validate(self) -> "ScenarioSpec":
         if self.duration_s <= 0:
             raise ConfigurationError("duration_s must be positive")
@@ -590,7 +620,7 @@ class ScenarioSpec:
         ``rack`` field, the fabric default, or None without a fabric."""
         if self.fabric is None:
             return None
-        return placement.rack or self.fabric.default_rack
+        return self.fabric.rack_of(placement)
 
     def _validate_fabric(self) -> None:
         placements = [

@@ -31,6 +31,7 @@ import hashlib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import (
     Callable,
     Dict,
@@ -52,6 +53,9 @@ from .registry import _REGISTRY, resolve_factory
 from .spec import (
     NO_CONTROLLER,
     ControllerSpec,
+    DnsHostSpec,
+    KvsHostSpec,
+    PaxosSpec,
     ScenarioSpec,
     ScenarioSweepSpec,
     SweepAxis,
@@ -127,35 +131,8 @@ def ondemand_variant(spec: ScenarioSpec) -> ScenarioSpec:
 
 def _pinned(spec: ScenarioSpec, hardware: bool) -> ScenarioSpec:
     suffix = "hw" if hardware else "sw"
-    kvs_hosts = tuple(
-        dataclasses.replace(
-            host,
-            controller=NO_CONTROLLER,
-            colocated=(),
-            power_save=True,
-            # a NIC-only host can never shift; its "hardware" pin is the
-            # software placement it is stuck with
-            start_in_hardware=hardware and host.device.is_offload,
-        )
-        for host in spec.kvs_hosts
-    )
-    dns_hosts = tuple(
-        dataclasses.replace(
-            host,
-            controller=NO_CONTROLLER,
-            power_save=True,
-            start_in_hardware=hardware and host.device.is_offload,
-        )
-        for host in spec.dns_hosts
-    )
-    paxos_groups = tuple(
-        dataclasses.replace(
-            group,
-            controller=ControllerSpec(kind="schedule"),
-            shifts=(),
-            start_in_hardware=hardware,
-        )
-        for group in spec.paxos_groups
+    kvs_hosts, dns_hosts, paxos_groups = _pinned_placements(
+        spec.kvs_hosts, spec.dns_hosts, spec.paxos_groups, hardware
     )
     # a pinned rack must stay pinned: the centralized fabric controller
     # is stripped along with the per-host controllers
@@ -167,6 +144,52 @@ def _pinned(spec: ScenarioSpec, hardware: bool) -> ScenarioSpec:
         paxos_groups=paxos_groups,
         fabric_controller=None,
     )
+
+
+@lru_cache(maxsize=128)
+def _pinned_placements(
+    kvs_hosts: Tuple[KvsHostSpec, ...],
+    dns_hosts: Tuple[DnsHostSpec, ...],
+    paxos_groups: Tuple[PaxosSpec, ...],
+    hardware: bool,
+) -> Tuple[
+    Tuple[KvsHostSpec, ...], Tuple[DnsHostSpec, ...], Tuple[PaxosSpec, ...]
+]:
+    """One pin's placements, memoized by value: every rate of a ramp
+    group declares the same placements, so a sweep pins them once per
+    ramp group instead of once per grid point.  Specs are frozen, so
+    sharing the pinned tuples between points is safe."""
+    kvs_hosts = tuple(
+        dataclasses.replace(
+            host,
+            controller=NO_CONTROLLER,
+            colocated=(),
+            power_save=True,
+            # a NIC-only host can never shift; its "hardware" pin is the
+            # software placement it is stuck with
+            start_in_hardware=hardware and host.device.is_offload,
+        )
+        for host in kvs_hosts
+    )
+    dns_hosts = tuple(
+        dataclasses.replace(
+            host,
+            controller=NO_CONTROLLER,
+            power_save=True,
+            start_in_hardware=hardware and host.device.is_offload,
+        )
+        for host in dns_hosts
+    )
+    paxos_groups = tuple(
+        dataclasses.replace(
+            group,
+            controller=ControllerSpec(kind="schedule"),
+            shifts=(),
+            start_in_hardware=hardware,
+        )
+        for group in paxos_groups
+    )
+    return kvs_hosts, dns_hosts, paxos_groups
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +512,15 @@ def spec_cache_stats() -> Dict[str, int]:
 
 
 def clear_spec_cache() -> None:
-    """Drop every cached materialized spec (and reset the counters)."""
+    """Drop every cached materialized spec (and reset the counters), and
+    empty the by-value memos of pinned placements and steady host
+    layouts."""
+    from .fastpath import _host_layout
+
     global _spec_cache_hits, _spec_cache_misses
     _SPEC_CACHE.clear()
+    _pinned_placements.cache_clear()
+    _host_layout.cache_clear()
     _spec_cache_hits = 0
     _spec_cache_misses = 0
 

@@ -15,6 +15,8 @@ mixing milli/micro factors across modules.
 
 from __future__ import annotations
 
+from .errors import ConfigurationError
+
 # ---------------------------------------------------------------------------
 # Time.
 # ---------------------------------------------------------------------------
@@ -72,11 +74,11 @@ def to_kpps(rate_pps: float) -> float:
 def interarrival_us(rate_pps: float) -> float:
     """Mean interarrival time in microseconds for a given rate.
 
-    Raises ``ZeroDivisionError`` semantics explicitly for rate 0, which has
+    Raises :class:`ConfigurationError` for a rate of 0 or below, which has
     no finite interarrival time.
     """
     if rate_pps <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate_pps!r}")
+        raise ConfigurationError(f"rate must be positive, got {rate_pps!r}")
     return SEC / rate_pps
 
 
@@ -103,6 +105,8 @@ def line_rate_pps(link_bps: float, frame_bytes: int) -> float:
     paper quotes for LaKe.
     """
     if frame_bytes <= 0:
-        raise ValueError(f"frame_bytes must be positive, got {frame_bytes!r}")
+        raise ConfigurationError(
+            f"frame_bytes must be positive, got {frame_bytes!r}"
+        )
     wire_bytes = frame_bytes + 8 + 12
     return link_bps / (wire_bytes * 8)

@@ -31,6 +31,8 @@ from repro.scenarios import (
     SamplingSpec,
     ScenarioBuilder,
     ScenarioSpec,
+    hardware_variant,
+    software_variant,
 )
 from repro.units import msec, sec
 
@@ -300,6 +302,48 @@ class TestControllerSpecValidation:
         assert spec.params == (("a", 1.0), ("b", 2.0))
         assert spec.as_dict() == {"a": 1.0, "b": 2.0}
         hash(spec)  # usable in sets / as dataclass default
+
+    def test_list_valued_params_normalized_to_tuples(self):
+        spec = ControllerSpec(kind="host", params={"b": [1.0, [2.0]], "a": 3})
+        assert spec.params == (("a", 3), ("b", (1.0, (2.0,))))
+        pairs = ControllerSpec(kind="host", params=[["a", [1.0]]])
+        assert pairs.params == (("a", (1.0,)),)
+        hash(spec), hash(pairs)
+
+
+class TestSpecsHash:
+    """Every spec hashes, whatever sequence type its tuple fields were
+    given as: the sweep engine memoizes pinned placements by value."""
+
+    def test_list_given_colocated_jobs_and_placements(self):
+        spec = ScenarioSpec(
+            name="x",
+            kvs_hosts=[KvsHostSpec(name="h0", colocated=[])],
+            kvs_workload=KvsWorkloadSpec(),
+        )
+        assert spec.kvs_hosts == (KvsHostSpec(name="h0"),)
+        assert spec.validate() is spec
+        hash(spec)
+        assert software_variant(spec).kvs_hosts[0].colocated == ()
+
+    def test_list_valued_controller_param(self):
+        host = KvsHostSpec(
+            name="h0",
+            controller=ControllerSpec(kind="host", params={"window_us": [1.0]}),
+        )
+        spec = ScenarioSpec(
+            name="x", kvs_hosts=(host,), kvs_workload=KvsWorkloadSpec()
+        )
+        hash(spec)
+        assert hardware_variant(spec).kvs_hosts[0].controller == NO_CONTROLLER
+
+    def test_list_given_paxos_shifts_and_acceptors(self):
+        group = PaxosSpec(
+            shifts=[[0.5, True]], acceptor_hosts=["a0", "a1", "a2"]
+        )
+        assert group.shifts == ((0.5, True),)
+        assert group.acceptor_hosts == ("a0", "a1", "a2")
+        hash(group)
 
 
 class TestSamplingValidation:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.net import ClassifierRule, PacketClassifier, TrafficClass
 from repro.net.packet import make_packet
 from repro.sim import Simulator
@@ -58,7 +59,7 @@ def test_counters_count_all_traffic():
 
 def test_set_offload_unknown_class_raises():
     sim, clf, hw, host, default = _classifier()
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigurationError):
         clf.set_offload(TrafficClass.DNS, True)
 
 

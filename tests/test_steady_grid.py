@@ -4,6 +4,7 @@ the kernels' pure-python branches — against the scalar steady model kept
 here as an oracle, and the ``REPRO_PURE_PYTHON`` gate."""
 
 import os
+import random
 import subprocess
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -18,6 +19,7 @@ from repro.scenarios import (
     ScenarioSpec,
     build_spec,
     build_sweep_spec,
+    clear_spec_cache,
     hardware_variant,
     ondemand_variant,
     software_variant,
@@ -28,6 +30,7 @@ from repro.scenarios.fastpath import (
     _FASTPATH_MODES,
     SteadyEstimate,
     _fabric_uplink_model,
+    _host_layout,
     _host_racks,
     _per_host_rates,
     _rack_steady_shape,
@@ -137,7 +140,10 @@ def scalar_steady_point(
     fabric = spec.fabric
     if fabric is not None:
         uplink = _fabric_uplink_model(spec)
-        up_loads, down_loads = _uplink_direction_loads(spec, rates)
+        racks = [_host_racks(fabric, host) for host in spec.kvs_hosts]
+        up_loads, down_loads = _uplink_direction_loads(
+            fabric.rack_names(), racks, rates
+        )
     achieved = 0.0
     power_by_placement: Dict[str, float] = {}
     latencies: List[Tuple[float, float]] = []  # (served share, latency)
@@ -147,7 +153,7 @@ def scalar_steady_point(
         latency = latency_at(rate)
         key = host.name
         if fabric is not None:
-            host_rack, client_rack = _host_racks(spec, host)
+            host_rack, client_rack = _host_racks(fabric, host)
             key = rack_qualified(host_rack, host.name)
             if client_rack != host_rack:
                 # request: client-rack up, host-rack down; response:
@@ -335,6 +341,48 @@ def test_steady_grid_rejects_ineligible_spec():
 
 def test_steady_grid_empty_input():
     assert steady_grid([], "software") == []
+
+
+# ---------------------------------------------------------------------------
+# The host-layout memo: keyed by value, cold or warm, in a mixed batch.
+# ---------------------------------------------------------------------------
+
+
+def _mixed_batch() -> List[ScenarioSpec]:
+    """Both pins of every point of every eligible sweep, shuffled: ramp
+    groups, host counts, device kinds, single-ToR racks and fabrics
+    interleaved in one batch."""
+    specs = [
+        variant(spec)
+        for name in ELIGIBLE_SWEEPS
+        for spec in _eligible_grid(name)
+        for variant in (software_variant, hardware_variant)
+    ]
+    random.Random(16).shuffle(specs)
+    return specs
+
+
+def test_steady_grid_memo_matches_oracle_on_a_mixed_batch():
+    """Every (mode, host subset) call over one shuffled batch equals the
+    scalar oracle by ``repr``: first on an empty layout memo, then on the
+    memo the first pass filled.  The calls ask about the same host tuples
+    under both modes and with and without a subset, so a layout key that
+    dropped either would serve another call's layout."""
+    specs = _mixed_batch()
+    calls = [
+        (mode, indices) for mode in _FASTPATH_MODES for indices in (None, (0,))
+    ]
+    want = {
+        call: [repr(scalar_steady_point(spec, *call)) for spec in specs]
+        for call in calls
+    }
+    clear_spec_cache()
+    assert _host_layout.cache_info().currsize == 0
+    for memo in ("cold", "warm"):
+        for mode, indices in calls:
+            got = steady_grid(specs, mode, indices)
+            assert [repr(est) for est in got] == want[(mode, indices)], memo
+    assert _host_layout.cache_info().hits > 0
 
 
 # ---------------------------------------------------------------------------

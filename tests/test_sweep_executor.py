@@ -1,7 +1,9 @@
-"""The sweep executor internals: spec-materialization cache, persistent
-worker pool, chunked pin-level dispatch through the pool, a dead worker,
-and the fastpath eligibility precheck."""
+"""The sweep executor internals: spec-materialization cache, the by-value
+memos of pinned placements and steady host layouts, persistent worker
+pool, chunked pin-level dispatch through the pool, a dead worker, and the
+fastpath eligibility precheck."""
 
+import dataclasses
 import os
 import threading
 
@@ -9,21 +11,36 @@ import pytest
 
 from repro.errors import ConfigurationError, ExecutorError
 from repro.scenarios import (
+    NO_CONTROLLER,
+    KvsHostSpec,
+    KvsWorkloadSpec,
+    ScenarioSpec,
     ScenarioSweepSpec,
     SweepAxis,
+    build_spec,
     build_sweep_spec,
     clear_spec_cache,
     executor_stats,
+    hardware_variant,
     reset_executor_stats,
     run_replicated,
     run_sweep,
+    scenario_names,
     shutdown_executor,
+    software_variant,
     spec_cache_stats,
     spec_hash,
+    steady_grid,
 )
 from repro.scenarios import fastpath as fastpath_module
 from repro.scenarios import sweep as sweep_module
-from repro.scenarios.sweep import _auto_chunksize, _get_pool, _materialize
+from repro.scenarios.fastpath import _host_layout
+from repro.scenarios.sweep import (
+    _auto_chunksize,
+    _get_pool,
+    _materialize,
+    _pinned_placements,
+)
 
 
 @pytest.fixture
@@ -94,6 +111,83 @@ def test_clear_spec_cache_resets_counters(fresh_cache):
     _materialize(sweep, sweep.points()[0])
     clear_spec_cache()
     assert spec_cache_stats() == {"hits": 0, "misses": 0, "size": 0}
+
+
+# -- the by-value memos of pinned placements and steady host layouts ---------
+
+
+def _one_host_rack(host_name: str) -> ScenarioSpec:
+    return ScenarioSpec(
+        name="memo-probe",
+        kvs_hosts=(KvsHostSpec(name=host_name, controller=NO_CONTROLLER),),
+        kvs_workload=KvsWorkloadSpec(keyspace=1_000),
+    )
+
+
+@pytest.mark.parametrize("hardware", [False, True])
+def test_pinned_memo_matches_a_fresh_construction(fresh_cache, hardware):
+    """Every registered scenario's pin equals the unmemoized construction
+    by ``repr``: first from an empty memo, then from the memo the first
+    pass filled, for scenarios materialized afresh (equal by value, not
+    the same objects)."""
+    variant, suffix = (
+        (hardware_variant, "hw") if hardware else (software_variant, "sw")
+    )
+    names = scenario_names()
+    for memo in ("cold", "warm"):
+        for name in names:
+            spec = build_spec(name)
+            kvs_hosts, dns_hosts, paxos_groups = _pinned_placements.__wrapped__(
+                spec.kvs_hosts, spec.dns_hosts, spec.paxos_groups, hardware
+            )
+            fresh = dataclasses.replace(
+                spec,
+                name=f"{spec.name}[{suffix}]",
+                kvs_hosts=kvs_hosts,
+                dns_hosts=dns_hosts,
+                paxos_groups=paxos_groups,
+                fabric_controller=None,
+            )
+            assert repr(variant(spec)) == repr(fresh), (memo, name)
+    assert _pinned_placements.cache_info().hits >= len(names)
+
+
+def test_pinned_memo_follows_a_re_registered_factory(fresh_cache):
+    """Keyed by value: a factory re-registered under the same name with
+    other placements gets its own pins, never the old factory's."""
+    from repro.scenarios.registry import _REGISTRY
+
+    original = _REGISTRY["rack-kvs"]
+    before = software_variant(build_spec("rack-kvs"))
+    try:
+        _REGISTRY["rack-kvs"] = lambda **kw: dataclasses.replace(
+            original(**kw), kvs_hosts=(KvsHostSpec(name="other"),)
+        )
+        after = software_variant(build_spec("rack-kvs"))
+    finally:
+        _REGISTRY["rack-kvs"] = original
+    assert [h.name for h in after.kvs_hosts] == ["other"]
+    assert after.kvs_hosts != before.kvs_hosts
+
+
+def test_clear_spec_cache_empties_the_memos(fresh_cache):
+    steady_grid([software_variant(_one_host_rack("h0"))], "software")
+    assert _pinned_placements.cache_info().currsize == 1
+    assert _host_layout.cache_info().currsize == 1
+    clear_spec_cache()
+    assert _pinned_placements.cache_info().currsize == 0
+    assert _host_layout.cache_info().currsize == 0
+
+
+def test_memos_never_grow_past_their_bound(fresh_cache):
+    memos = (_pinned_placements, _host_layout)
+    bound = max(memo.cache_info().maxsize for memo in memos)
+    for i in range(bound + 8):
+        steady_grid([software_variant(_one_host_rack(f"h{i}"))], "software")
+        for memo in memos:
+            assert memo.cache_info().currsize <= memo.cache_info().maxsize
+    for memo in memos:
+        assert memo.cache_info().currsize == memo.cache_info().maxsize
 
 
 # -- chunked dispatch -------------------------------------------------------

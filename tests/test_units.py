@@ -3,6 +3,7 @@
 import pytest
 
 from repro import units
+from repro.errors import ConfigurationError
 
 
 def test_time_constants_relate():
@@ -26,9 +27,9 @@ def test_interarrival():
 
 
 def test_interarrival_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         units.interarrival_us(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         units.interarrival_us(-5.0)
 
 
@@ -45,5 +46,5 @@ def test_line_rate_lake_frame_matches_paper():
 
 
 def test_line_rate_rejects_bad_frame():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         units.line_rate_pps(1e9, 0)
