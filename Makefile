@@ -3,22 +3,12 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-pure bench-smoke sweep-smoke hetero-smoke fabric-smoke bench-perf bench-fabric-perf bench-grid-perf perfbench-smoke bench-replication bench examples
+.PHONY: test bench-smoke sweep-smoke hetero-smoke fabric-smoke bench-perf bench-fabric-perf bench-grid-perf perfbench-smoke bench-replication bench examples
 
 # Tier-1; --durations prints the ten slowest tests, so every log carries
 # the suite's slowest DES replays as a perf number.
 test:
 	$(PYTHON) -m pytest -x -q --durations=10
-
-# The steady model's pure-python kernels, which every numpy-less install
-# runs in production: the steady-grid oracle, the fast-path and fabric
-# fast-path suites, and the recorder reductions with numpy disabled.
-test-pure:
-	REPRO_PURE_PYTHON=1 $(PYTHON) -m pytest -q \
-		tests/test_steady_grid.py \
-		tests/test_scenarios_fastpath.py \
-		tests/test_fastpath_fabric.py \
-		tests/test_sim_recorder.py
 
 # One fast benchmark per application (KVS / Paxos / DNS): the analytic
 # Figure 3 sweeps, which regenerate their panels in seconds.

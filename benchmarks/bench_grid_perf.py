@@ -6,7 +6,7 @@ counts): the adaptive crossover search must beat the exhaustive DES
 sweep by >= 5x wall-clock while reporting the *identical*
 ``TippingPoint`` rows and replaying at most a quarter of the grid —
 speed bought by changing the answer is a search bug, not a win.  The
-gated trend figure (vectorized steady-grid points/sec against the
+gated trend figure (batched steady-grid points/sec against the
 committed baseline) rides in ``BENCH_perf.json``'s ``grid`` section via
 ``bench_perf.py``; this module re-checks just the grid gate so ``make
 bench-grid-perf`` fails standalone when the kernel or the search
@@ -54,8 +54,7 @@ def test_adaptive_speedup_floor_and_row_identity(grid_record):
         f"{search['name']} adaptive vs exhaustive "
         f"({search['points']} grid points)",
         f"kernel     {kernel['points_per_sec']:.0f} points/sec "
-        f"({kernel['points']} points x {kernel['passes']} passes, "
-        f"numpy={kernel['numpy']})",
+        f"({kernel['points']} points x {kernel['passes']} passes)",
         f"exhaustive {search['exhaustive_wall_s']:.2f}s",
         f"adaptive   {search['adaptive_wall_s']:.2f}s",
         f"speedup    {search['speedup']:.1f}x (floor {SPEEDUP_FLOOR:.0f}x)",

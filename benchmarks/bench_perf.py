@@ -4,7 +4,7 @@ Run via ``make bench-perf`` (or the CI ``perf-smoke`` leg).  Measures DES
 events/sec and wall seconds for the registered perf scenarios, the
 reduced sweep's serial-vs-parallel wall time, the K-seed replication
 leg (serial vs pooled wall + points/sec), the fabric leg, and the grid
-leg (vectorized steady-grid points/sec + the adaptive-vs-exhaustive
+leg (batched steady-grid points/sec + the adaptive-vs-exhaustive
 search wall clock), writes the record to
 ``benchmarks/results/BENCH_perf.json``, and fails when events/sec or
 replication points/sec drops more than
@@ -72,7 +72,7 @@ def test_perf_trajectory():
         assert frep[key]["wall_s"] > 0
         assert frep[key]["speedup"] > 0
 
-    # the grid leg (ISSUE 10): gated vectorized-kernel points/sec plus
+    # the grid leg: gated batched-kernel points/sec plus
     # the adaptive-vs-exhaustive wall comparison and savings counters
     grid = record["grid"]
     assert grid["kernel"]["points"] > 0

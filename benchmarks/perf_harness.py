@@ -58,7 +58,7 @@ PERF_FABRIC_REPLICATION = dict(
     workers=(2, 4),
 )
 
-#: Grid leg (ISSUE 10): the vectorized steady-grid kernel's points/sec
+#: Grid leg: the batched steady-grid kernel's points/sec
 #: (the gated trend figure) and the adaptive-vs-exhaustive wall clock of
 #: a reduced ``sweep-fabric-scale`` ramp — long enough (16 rate steps x
 #: 2 rack counts) that the bracketed search's handful of DES probes pays
@@ -213,7 +213,7 @@ def measure_grid() -> Dict[str, object]:
     """The ``grid`` record section (ISSUE 10).
 
     ``kernel`` is the gated trend figure: grid points answered per wall
-    second by one vectorized :func:`steady_grid` pass over the reduced
+    second by one batched :func:`steady_grid` pass over the reduced
     ``sweep-fabric-scale`` grid (repeated until the wall clock is
     measurable).  ``search`` compares the exhaustive and adaptive sweep
     wall clock on the same grid and reports the DES savings counters;
@@ -228,7 +228,6 @@ def measure_grid() -> Dict[str, object]:
         steady_grid,
     )
     from repro.scenarios.sweep import _materialize
-    from repro.steady import grid as grid_kernels
 
     spec = build_sweep_spec(PERF_GRID["name"], **PERF_GRID["overrides"])
     specs = [
@@ -245,7 +244,6 @@ def measure_grid() -> Dict[str, object]:
         if kernel_wall_s >= 0.2 and passes >= 3:
             break
     kernel = {
-        "numpy": grid_kernels.have_numpy(),
         "points": len(specs),
         "passes": passes,
         "wall_s": round(kernel_wall_s, 4),
@@ -353,7 +351,6 @@ def check_regression(record: dict, baseline: dict) -> List[str]:
         base_kernel
         and kernel
         and kernel.get("points") == base_kernel.get("points")
-        and kernel.get("numpy") == base_kernel.get("numpy")
     ):
         floor = base_kernel["points_per_sec"] * (1.0 - REGRESSION_TOLERANCE)
         if kernel["points_per_sec"] < floor:
@@ -413,8 +410,7 @@ def main(argv=None) -> int:
         kernel = record["grid"]["kernel"]
         search = record["grid"]["search"]
         print(f"  grid kernel: {kernel['points_per_sec']:.0f} points/sec "
-              f"({kernel['points']} points x {kernel['passes']} passes, "
-              f"numpy={kernel['numpy']})")
+              f"({kernel['points']} points x {kernel['passes']} passes)")
         print(f"  grid {search['name']}: exhaustive "
               f"{search['exhaustive_wall_s']:.2f}s vs adaptive "
               f"{search['adaptive_wall_s']:.2f}s ({search['speedup']:.1f}x, "

@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("exhaustive", "adaptive"),
         default="exhaustive",
         help="how --sweep walks its grid: 'exhaustive' replays every "
-        "point; 'adaptive' brackets each crossover on the vectorized "
+        "point; 'adaptive' brackets each crossover on the batched "
         "analytic grid and replays the DES only at the bracketing points",
     )
     parser.add_argument(

@@ -97,9 +97,9 @@ class Link:
         name: str = "",
         queueing: bool = False,
     ):
-        if latency_us < 0:
+        if not latency_us >= 0:
             raise ConfigurationError("latency_us must be >= 0")
-        if bandwidth_bps <= 0:
+        if not bandwidth_bps > 0:
             raise ConfigurationError("bandwidth_bps must be > 0")
         self.sim = sim
         self.dst = dst

@@ -215,10 +215,10 @@ def _per_host_rates(spec: ScenarioSpec) -> List[float]:
     ]
 
 
-def _fabric_uplink_model(spec: ScenarioSpec) -> FabricUplinkModel:
+def _fabric_uplink_model(fabric: FabricSpec) -> FabricUplinkModel:
     """The declared fabric's analytic uplink parameters (shared by every
     ToR↔spine direction: the spec declares one :class:`UplinkSpec`)."""
-    uplink = spec.fabric.uplink
+    uplink = fabric.uplink
     return FabricUplinkModel(
         latency_us=uplink.latency_us,
         effective_bps=uplink.effective_bandwidth_bps(),
@@ -232,34 +232,6 @@ def _host_racks(fabric: FabricSpec, host: KvsHostSpec) -> Tuple[str, str]:
     host_rack = fabric.rack_of(host)
     client_rack, _ = split_rack(host.resolved_client_name())
     return host_rack, client_rack or host_rack
-
-
-def _uplink_direction_loads(
-    rack_names: Sequence[str],
-    racks: Sequence[Tuple[str, str]],
-    rates: Sequence[float],
-) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Offered pps on each uplink direction: ``(up[rack], down[rack])``,
-    from every host's :func:`_host_racks` pair and offered rate, in host
-    order.
-
-    This is the spec-derived cross-rack subset — analytically, the same
-    packets the DES transit identity ``sum(ToRs) − spine`` isolates: a
-    cross-rack host's requests leave the client's rack (up), enter the
-    host's rack (down), and its responses make the reverse trip.  Loads
-    always cover the **whole** fleet, not just an estimated subset: the
-    FIFO uplinks queue everyone's packets together.
-    """
-    up = {rack: 0.0 for rack in rack_names}
-    down = {rack: 0.0 for rack in rack_names}
-    for (host_rack, client_rack), rate in zip(racks, rates):
-        if client_rack == host_rack:
-            continue
-        up[client_rack] += rate    # requests leave the client's rack
-        down[host_rack] += rate    # ...and enter the host's rack
-        up[host_rack] += rate      # responses leave the host's rack
-        down[client_rack] += rate  # ...and return to the client's rack
-    return up, down
 
 
 def steady_point(
@@ -278,7 +250,7 @@ def _grid_host_constants(
     device_kind: str, is_offload: bool, power_save: bool, mode: str
 ) -> Tuple:
     """The scalar constants of one host's steady curve, flattened for the
-    array kernels and memoized per (device kind, mode): a sweep grid
+    grid kernels and memoized per (device kind, mode): a sweep grid
     re-derives each model family once, not once per point.
 
     Returns ``("software", capacity, idle, span, alpha, poly_w, poly_exp,
@@ -328,14 +300,19 @@ class _HostLayout(NamedTuple):
     #: positions on a card's line, and their four constant columns
     hw_pos: Tuple[int, ...]
     hw_columns: Tuple[Tuple[float, ...], ...]
-    #: the fabric's racks, and ``(host rack, client rack)`` of **every**
-    #: host in the rack (the uplink loads cover the whole fleet)
-    rack_names: Tuple[str, ...]
-    racks: Tuple[Tuple[str, str], ...]
-    #: the cross-rack selected hosts: positions, host racks, client racks
-    cross_pos: Tuple[int, ...]
-    cross_host_racks: Tuple[str, ...]
-    cross_client_racks: Tuple[str, ...]
+    #: one fabric's uplink records per spec: ``up[r]`` then ``down[r]``
+    #: for each of its racks ``r`` (0 off a fabric), and the
+    #: ``(latency_us, serialization_us, capacity_pps)`` every direction
+    #: shares (None off a fabric)
+    n_links: int
+    uplink: Optional[Tuple[float, float, float]]
+    #: every cross-rack host of the **fleet** (the FIFO uplinks queue
+    #: everyone's packets, so the loads cover the whole fleet): ``(host
+    #: index, request up, request down, response up, response down)``,
+    #: the last four as link records
+    fleet_cross: Tuple[Tuple[int, int, int, int, int], ...]
+    #: the selected cross-rack hosts, likewise but by position
+    cross: Tuple[Tuple[int, int, int, int, int], ...]
 
 
 @lru_cache(maxsize=128)
@@ -356,16 +333,29 @@ def _host_layout(
         host_steady_eligible(kvs_hosts[i]) for i in indices
     ):
         return None
-    racks = (
-        () if fabric is None
-        else tuple(_host_racks(fabric, host) for host in kvs_hosts)
-    )
+    # the four link records each cross-rack host's traversals cross —
+    # request: client-rack up, host-rack down; response: host-rack up,
+    # client-rack down — keyed by host index over the whole fleet
+    terms: Dict[int, Tuple[int, int, int, int]] = {}
+    n_links = 0
+    uplink = None
+    if fabric is not None:
+        racks = [_host_racks(fabric, host) for host in kvs_hosts]
+        rack_index = {rack: r for r, rack in enumerate(fabric.rack_names())}
+        n_links = 2 * len(rack_index)
+        down = len(rack_index)  # offset of the down records
+        for i, (host_rack, client_rack) in enumerate(racks):
+            if client_rack != host_rack:
+                h, c = rack_index[host_rack], rack_index[client_rack]
+                terms[i] = (c, down + h, h, down + c)
+        model = _fabric_uplink_model(fabric)
+        uplink = (model.latency_us, model.serialization_us, model.capacity_pps)
     keys: List[str] = []
     sw_pos: List[int] = []
     hw_pos: List[int] = []
     sw_columns: List[List[float]] = [[] for _ in range(9)]
     hw_columns: List[List[float]] = [[] for _ in range(4)]
-    cross: List[Tuple[int, str, str]] = []  # (position, host, client rack)
+    cross: List[Tuple[int, int, int, int, int]] = []
     for pos, i in enumerate(indices):
         host = kvs_hosts[i]
         constants = _grid_host_constants(
@@ -382,24 +372,19 @@ def _host_layout(
         if fabric is None:
             keys.append(host.name)
             continue
-        host_rack, client_rack = racks[i]
-        keys.append(rack_qualified(host_rack, host.name))
-        if client_rack != host_rack:
-            cross.append((pos, host_rack, client_rack))
-    cross_pos, cross_host_racks, cross_client_racks = (
-        tuple(map(tuple, zip(*cross))) if cross else ((), (), ())
-    )
+        keys.append(rack_qualified(racks[i][0], host.name))
+        if i in terms:
+            cross.append((pos, *terms[i]))
     return _HostLayout(
         keys=tuple(keys),
         sw_pos=tuple(sw_pos),
         sw_columns=tuple(map(tuple, sw_columns)),
         hw_pos=tuple(hw_pos),
         hw_columns=tuple(map(tuple, hw_columns)),
-        rack_names=() if fabric is None else fabric.rack_names(),
-        racks=racks,
-        cross_pos=cross_pos,
-        cross_host_racks=cross_host_racks,
-        cross_client_racks=cross_client_racks,
+        n_links=n_links,
+        uplink=uplink,
+        fleet_cross=tuple((i, *offsets) for i, offsets in terms.items()),
+        cross=tuple(cross),
     )
 
 
@@ -413,17 +398,19 @@ def steady_grid(
 
     The grid is flattened into struct-of-arrays host records — offered
     rate plus the memoized per-device model constants — and evaluated
-    through the array kernels of :mod:`repro.steady.grid` (numpy, or
-    their pure-python branches without it); cross-rack hosts of fabric
-    specs additionally gather their four uplink-direction loads for the
-    batched M/D/1 adder.  Per-spec reductions (achieved sum, wall-power
-    sum, the served-weighted p50) stay in python, in host order, so a
-    spec's estimate does not depend on the batch it was answered in.
+    through the kernels of :mod:`repro.steady.grid`.  The M/D/1 uplink
+    crossing and throughput cap are evaluated once per (spec, rack,
+    direction), not once per cross-rack host and traversal: each
+    cross-rack host then gathers its four traversals from those records.
+    Per-spec reductions (achieved sum, wall-power sum, the
+    served-weighted p50) stay in host order, so a spec's estimate does
+    not depend on the batch it was answered in.
 
     Everything about a spec's hosts that its offered rates cannot change
     — host eligibility, each host's model constants, placement keys,
     host and client racks, the software/hardware positions and their
-    constant columns — comes from :func:`_host_layout`, an LRU of 128
+    constant columns, the uplink records each cross-rack host reads —
+    comes from :func:`_host_layout`, an LRU of 128
     layouts keyed by value on (``kvs_hosts``, ``fabric``, ``mode``,
     ``host_indices``) and emptied by
     :func:`~repro.scenarios.sweep.clear_spec_cache`.  Per spec, only the
@@ -454,13 +441,13 @@ def steady_grid(
     hw_slots: List[int] = []
     sw_const: List[List[float]] = [[] for _ in range(9)]
     hw_const: List[List[float]] = [[] for _ in range(4)]
-    # cross-rack records: flat slot + the four direction loads + uplink
-    cross_slots: List[int] = []
-    cross_loads: Tuple[List[float], ...] = ([], [], [], [])
-    cross_lat: List[float] = []
-    cross_ser: List[float] = []
-    cross_cap: List[float] = []
-    spans = []  # per spec: (slot_lo, placement keys)
+    # uplink-direction records: per fabric spec with a cross-rack host,
+    # up[r] then down[r] for every rack r, with the spec's uplink
+    link_load: List[float] = []
+    link_lat: List[float] = []
+    link_ser: List[float] = []
+    link_cap: List[float] = []
+    spans = []  # per spec: (slot_lo, record_lo, layout)
     # a ramp group's pinned variants share one host tuple object, so this
     # call hashes each tuple once, not once per spec
     layouts: Dict[Tuple[int, Optional[FabricSpec]], Optional[_HostLayout]] = {}
@@ -489,26 +476,23 @@ def steady_grid(
         hw_slots.extend([slot_lo + pos for pos in layout.hw_pos])
         for column, block in zip(hw_const, layout.hw_columns):
             column.extend(block)
-        if layout.cross_pos:
-            uplink = _fabric_uplink_model(spec)
-            up_loads, down_loads = _uplink_direction_loads(
-                layout.rack_names, layout.racks, rates
-            )
-            host_racks = layout.cross_host_racks
-            client_racks = layout.cross_client_racks
-            cross_slots.extend([slot_lo + pos for pos in layout.cross_pos])
-            # request: client-rack up, host-rack down; response: host-rack
-            # up, client-rack down
-            cross_loads[0].extend([up_loads[r] for r in client_racks])
-            cross_loads[1].extend([down_loads[r] for r in host_racks])
-            cross_loads[2].extend([up_loads[r] for r in host_racks])
-            cross_loads[3].extend([down_loads[r] for r in client_racks])
-            count = len(host_racks)
-            cross_lat.extend([uplink.latency_us] * count)
-            cross_ser.extend([uplink.serialization_us] * count)
-            cross_cap.extend([uplink.capacity_pps] * count)
-        spans.append((slot_lo, layout.keys))
-    # -- evaluate the flattened records through the array kernels ------------
+        record_lo = len(link_load)
+        if layout.cross:
+            # each direction's offered load, summed in host order
+            loads = [0.0] * layout.n_links
+            for i, up_c, down_h, up_h, down_c in layout.fleet_cross:
+                rate = rates[i]
+                loads[up_c] += rate    # requests leave the client's rack
+                loads[down_h] += rate  # ...and enter the host's rack
+                loads[up_h] += rate    # responses leave the host's rack
+                loads[down_c] += rate  # ...and return to the client's rack
+            link_load.extend(loads)
+            latency_us, serialization_us, capacity_pps = layout.uplink
+            link_lat.extend([latency_us] * layout.n_links)
+            link_ser.extend([serialization_us] * layout.n_links)
+            link_cap.extend([capacity_pps] * layout.n_links)
+        spans.append((slot_lo, record_lo, layout))
+    # -- evaluate the flattened records through the grid kernels -------------
     n = len(flat_rate)
     power = [0.0] * n
     served = [0.0] * n
@@ -545,25 +529,28 @@ def steady_grid(
             served[slot] = value
         for slot, base in zip(hw_slots, hw_const[3]):
             latency[slot] = base  # fully pipelined: flat with load (§9.5)
-    if cross_slots:
-        # four traversals, each at its own direction's load; the adder and
-        # the bottleneck cap compose in the scalar path's exact order
-        crossings = [
-            steady_grid_kernels.crossing_us(loads, cross_lat, cross_ser)
-            for loads in cross_loads
-        ]
-        factors = [
-            steady_grid_kernels.throughput_factor(loads, cross_cap)
-            for loads in cross_loads
-        ]
-        for slot, c0, c1, c2, c3, f0, f1, f2, f3 in zip(
-            cross_slots, *crossings, *factors
-        ):
-            latency[slot] = latency[slot] + (((c0 + c1) + c2) + c3)
-            served[slot] = served[slot] * min(f0, f1, f2, f3)
-    # -- per-spec reductions, in host order ----------------------------------
+    # each uplink direction is evaluated once, however many hosts cross it
+    crossing = steady_grid_kernels.crossing_us(link_load, link_lat, link_ser)
+    factor = steady_grid_kernels.throughput_factor(link_load, link_cap)
+    # -- per spec: cross-rack traversals, then reductions in host order ------
     estimates = []
-    for slot_lo, keys in spans:
+    for slot_lo, record_lo, layout in spans:
+        if layout.cross:
+            # a cross-rack host's four traversals, each at its own
+            # direction's load; the adder and the bottleneck cap compose
+            # in the scalar path's exact order
+            record_hi = record_lo + layout.n_links
+            c = crossing[record_lo:record_hi]
+            f = factor[record_lo:record_hi]
+            for pos, up_c, down_h, up_h, down_c in layout.cross:
+                slot = slot_lo + pos
+                latency[slot] = latency[slot] + (
+                    ((c[up_c] + c[down_h]) + c[up_h]) + c[down_c]
+                )
+                served[slot] = served[slot] * min(
+                    f[up_c], f[down_h], f[up_h], f[down_c]
+                )
+        keys = layout.keys
         slot_hi = slot_lo + len(keys)
         spec_served = served[slot_lo:slot_hi]
         achieved = sum(spec_served)

@@ -122,15 +122,15 @@ class UplinkSpec:
         )
 
     def validate(self, owner: str) -> None:
-        if self.latency_us < 0:
+        if not self.latency_us >= 0:
             raise ConfigurationError(
                 f"uplink latency_us must be >= 0 on {owner!r}"
             )
-        if self.bandwidth_gbps <= 0:
+        if not self.bandwidth_gbps > 0:
             raise ConfigurationError(
                 f"uplink bandwidth_gbps must be positive on {owner!r}"
             )
-        if self.oversubscription < 1.0:
+        if not self.oversubscription >= 1.0:
             raise ConfigurationError(
                 f"uplink oversubscription must be >= 1 on {owner!r}, got "
                 f"{self.oversubscription}"
@@ -309,11 +309,11 @@ class SamplingSpec:
     bucket_ms: float = 250.0
 
     def validate(self, owner: str) -> None:
-        if self.power_interval_ms <= 0:
+        if not self.power_interval_ms > 0:
             raise ConfigurationError(
                 f"sampling power_interval_ms must be positive on {owner!r}"
             )
-        if self.bucket_ms <= 0:
+        if not self.bucket_ms > 0:
             raise ConfigurationError(
                 f"sampling bucket_ms must be positive on {owner!r}"
             )
@@ -558,11 +558,11 @@ def _validate_host_device(host, app: str) -> None:
 def _validate_phases(phases: PhaseSchedule, owner: str) -> None:
     last_at = -1.0
     for at_s, rate_kpps in phases:
-        if at_s < 0:
+        if not at_s >= 0:
             raise ConfigurationError(f"{owner} phase scheduled before t=0")
         if at_s <= last_at:
             raise ConfigurationError(f"{owner} phases must be strictly increasing")
-        if rate_kpps < 0:
+        if not rate_kpps >= 0:
             raise ConfigurationError(f"{owner} phase rate must be >= 0")
         last_at = at_s
 
@@ -598,7 +598,7 @@ class ScenarioSpec:
                 object.__setattr__(self, name, tuple(value))
 
     def validate(self) -> "ScenarioSpec":
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ConfigurationError("duration_s must be positive")
         if not self.kvs_hosts and not self.paxos_groups and not self.dns_hosts:
             raise ConfigurationError(
@@ -819,7 +819,7 @@ class ScenarioSpec:
                         f"Paxos group {group.name!r} repeats an acceptor host"
                     )
             for at_s, _ in group.shifts:
-                if at_s < 0:
+                if not at_s >= 0:
                     raise ConfigurationError(
                         f"Paxos group {group.name!r} shift scheduled before t=0"
                     )

@@ -1065,7 +1065,7 @@ def _adapt(
     DES probes until each ramp group's crossover is confirmed.
 
     Its analytic pass is the analytic pins of the fastpath plan
-    (:func:`_plan`): one vectorized
+    (:func:`_plan`): one batched
     :func:`repro.scenarios.fastpath.steady_grid` call per pin answers the
     analytic ops/W margin ``hw − sw`` at every eligible grid point.  The
     analytic margin has the right *shape* but a finite-replay bias
@@ -1364,7 +1364,7 @@ def run_sweep(
     ``fastpath=True`` answers the software and hardware pins of
     steady-state-eligible grid points (see
     :func:`repro.scenarios.fastpath.steady_eligible`) from the analytic
-    models instead of replaying the DES: in the parent, one vectorized
+    models instead of replaying the DES: in the parent, one batched
     ``steady_grid`` call per pin per slice of grid points.  An on-demand
     pin that can shift still replays, as a hybrid on mixed racks.  It is
     opt-in because the numbers are the infinite-horizon limit rather than
@@ -1375,7 +1375,7 @@ def run_sweep(
     is a misconfiguration, not a slow success.
 
     ``search="adaptive"`` brackets each ramp group's sw/hw crossover on
-    the vectorized analytic grid and replays the full DES only at the
+    the batched analytic grid and replays the full DES only at the
     bracketing points, walking the bracket until the crossover is
     DES-confirmed on both sides; every other point carries analytic
     aggregates flagged ``estimated``.  It implies ``fastpath``.  The
@@ -1711,7 +1711,7 @@ def sweep_fastpath_eligibility(
     """Classify a sweep's grid for the analytic fast path.
 
     ``"eligible"`` — every grid point is steady-state eligible (the
-    vectorized grid kernel and the adaptive search cover the whole
+    batched grid kernel and the adaptive search cover the whole
     grid); ``"partial"`` — only some points are; ``"DES-only"`` — none
     are (``fastpath=True`` and ``search="adaptive"`` both refuse).
     Shown per sweep by ``python -m repro --list``.

@@ -138,7 +138,7 @@ class Simulator:
         self, delay: float, callback: Callable[[], None], name: str = "event"
     ) -> Event:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self._now + delay
         event = Event(time, next(self._seq), callback, name, sim=self)
@@ -149,7 +149,7 @@ class Simulator:
         self, time: float, callback: Callable[[], None], name: str = "event"
     ) -> Event:
         """Schedule ``callback`` at absolute simulation time ``time``."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
@@ -164,7 +164,7 @@ class Simulator:
         use for high-volume machinery (packet deliveries, service
         completions) where the Event API's observability costs real time.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(self._heap, (self._now + delay, next(self._seq), callback))
 
@@ -174,7 +174,7 @@ class Simulator:
         Saves the per-call closure/partial allocation of binding ``arg``:
         the argument rides in the heap entry itself.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(
             self._heap, (self._now + delay, next(self._seq), callback, arg)
@@ -193,7 +193,7 @@ class Simulator:
         number from the shared counter, so ordering semantics are exactly
         those of a newly-scheduled event.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         if not event._done or event.cancelled:
             raise SimulationError(
@@ -224,7 +224,7 @@ class Simulator:
         the event now firing, so reuse is safe), keeping the handle fully
         cancellable without a per-tick allocation.
         """
-        if interval <= 0:
+        if not interval > 0:
             raise SimulationError(f"interval must be positive, got {interval}")
         if jitter and rng is None:
             raise SimulationError("jitter requires an rng")
@@ -262,7 +262,7 @@ class Simulator:
         loops (open-loop load generators); keep ``call_every`` where the
         handle's pending event must be observable/cancellable.
         """
-        if interval <= 0:
+        if not interval > 0:
             raise SimulationError(f"interval must be positive, got {interval}")
         if jitter and rng is None:
             raise SimulationError("jitter requires an rng")
@@ -324,7 +324,7 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run_until is not re-entrant")
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(f"cannot run backwards to t={time}")
         self._running = True
         try:

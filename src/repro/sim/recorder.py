@@ -5,32 +5,29 @@ meter sampled once a second, hardware throughput counters on the LaKe card,
 and the Endace DAG card capturing per-packet latency (§4.1).
 
 Storage is ``array('d')`` (one machine double per sample, no per-sample
-object), and the bucket/percentile reductions dispatch to numpy kernels
-when numpy is importable, with a pure-python fallback that produces
-bit-identical results (enforced by tests).  Set ``REPRO_PURE_PYTHON=1``
-to force the fallback.
+object), and every reduction has one pure-python path.  The window
+reductions (:func:`bucket_rate_series`, :func:`bucket_mean_series`) sort
+their input by time first — Timsort is linear on the time-ordered series
+every caller passes, and stable, so ties keep their input order — and
+then find each window's bounds by bisection on the same ``t // window_us``
+binning a per-sample pass would use.  Window means add their values left
+to right from ``0.0`` rather than through ``sum()``, which compensates on
+Python >= 3.12 and would change bits between interpreter versions.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..units import SEC, to_seconds
 from .kernel import Simulator
-
-try:  # pragma: no cover - exercised via both dispatch branches
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
-
-if os.environ.get("REPRO_PURE_PYTHON"):
-    _np = None
 
 
 def percentile(
@@ -53,45 +50,15 @@ def percentile(
     return ordered[rank - 1]
 
 
-def _percentiles_python(
-    values: Sequence[float], pcts: Sequence[float]
-) -> List[float]:
-    ordered = sorted(values)
-    return [percentile(ordered, pct, presorted=True) for pct in pcts]
-
-
-def _percentiles_numpy(
-    values: Sequence[float], pcts: Sequence[float]
-) -> List[float]:
-    # One C sort; nearest-rank picks read ranks positionally, exactly as
-    # the python kernel does, so both kernels select the *same element*.
-    if not len(values):
-        raise ValueError("percentile of empty sequence")
-    ordered = _np.sort(_np.asarray(values, dtype=_np.float64))
-    n = len(ordered)
-    out = []
-    for pct in pcts:
-        if not 0.0 <= pct <= 100.0:
-            raise ValueError(f"pct must be in [0, 100], got {pct}")
-        if pct == 0.0:
-            out.append(float(ordered[0]))
-        else:
-            rank = max(1, math.ceil(pct / 100.0 * n))
-            out.append(float(ordered[rank - 1]))
-    return out
-
-
 def percentiles(values: Sequence[float], pcts: Sequence[float]) -> List[float]:
     """Several nearest-rank percentiles from **one** sort of ``values``.
 
     The reduction loops (sweep aggregation, figure rendering) extract
     p50+p99 from the same sample list; sorting once instead of once per
-    percentile halves their dominant cost on large runs.  Dispatches to a
-    numpy sort when available (identical element selection either way).
+    percentile halves their dominant cost on large runs.
     """
-    if _np is not None and len(values) >= 32:
-        return _percentiles_numpy(values, pcts)
-    return _percentiles_python(values, pcts)
+    ordered = sorted(values)
+    return [percentile(ordered, pct, presorted=True) for pct in pcts]
 
 
 @dataclass
@@ -264,36 +231,25 @@ class LatencyRecorder:
         self._sorted_len = 0
 
 
-def _bucket_rate_python(
-    times_us: Sequence[float], window_us: float, end_us: float
-) -> List[Tuple[float, float]]:
-    buckets = {}
-    for t in times_us:
-        buckets[int(t // window_us)] = buckets.get(int(t // window_us), 0) + 1
-    n_buckets = int(end_us // window_us) + 1
-    series = []
-    for i in range(n_buckets):
-        rate = buckets.get(i, 0) * SEC / window_us
-        series.append((i * window_us, rate))
-    return series
+def _window_ends(
+    times: Sequence[float], window_us: float, end_us: float
+) -> Tuple[int, List[int]]:
+    """Bisection bounds of every window over time-ordered ``times``.
 
-
-def _bucket_rate_numpy(
-    times_us: Sequence[float], window_us: float, end_us: float
-) -> List[Tuple[float, float]]:
-    n_buckets = int(end_us // window_us) + 1
-    arr = _np.asarray(times_us, dtype=_np.float64)
-    if arr.size:
-        idx = (arr // window_us).astype(_np.int64)
-        counts = _np.bincount(idx, minlength=n_buckets)
-    else:
-        counts = _np.zeros(n_buckets, dtype=_np.int64)
-    # Counts are exact integers, so the per-bucket arithmetic below is
-    # bit-identical to the python kernel.
-    return [
-        (i * window_us, int(counts[i]) * SEC / window_us)
-        for i in range(n_buckets)
-    ]
+    Returns ``(lo, ends)``: ``times[lo:ends[0]]`` fall in window 0 and
+    ``times[ends[i - 1]:ends[i]]`` in window ``i``, for the
+    ``int(end_us // window_us) + 1`` windows of ``[0, end_us]``.  A time
+    ``t`` belongs to window ``t // window_us`` — the binning a per-sample
+    pass would use — so times before 0 or past the last window fall in
+    none.
+    """
+    bin_of = lambda t: t // window_us  # noqa: E731
+    lo = hi = bisect_left(times, 0, key=bin_of)
+    ends = []
+    for i in range(int(end_us // window_us) + 1):
+        hi = bisect_left(times, i + 1, lo=hi, key=bin_of)
+        ends.append(hi)
+    return lo, ends
 
 
 def bucket_rate_series(
@@ -302,69 +258,43 @@ def bucket_rate_series(
     """Convert event timestamps into a (t_us, rate_pps) series.
 
     Used to turn client response timestamps into the throughput timelines
-    of Figures 6 and 7 (and the rack-scale scenarios).  numpy counts the
-    buckets when available; both kernels return identical floats.
+    of Figures 6 and 7 (and the rack-scale scenarios).
     """
-    if window_us <= 0:
+    if not window_us > 0:
         raise ConfigurationError("window must be positive")
-    if _np is not None and len(times_us) >= 64:
-        return _bucket_rate_numpy(times_us, window_us, end_us)
-    return _bucket_rate_python(times_us, window_us, end_us)
-
-
-def _bucket_mean_python(
-    samples: Sequence[Tuple[float, float]], window_us: float, end_us: float
-) -> List[Tuple[float, Optional[float]]]:
-    sums = {}
-    counts = {}
-    for t, v in samples:
-        idx = int(t // window_us)
-        sums[idx] = sums.get(idx, 0.0) + v
-        counts[idx] = counts.get(idx, 0) + 1
+    lo, ends = _window_ends(sorted(times_us), window_us, end_us)
     series = []
-    for i in range(int(end_us // window_us) + 1):
-        if counts.get(i):
-            series.append((i * window_us, sums[i] / counts[i]))
-        else:
-            series.append((i * window_us, None))
-    return series
-
-
-def _bucket_mean_numpy(
-    samples: Sequence[Tuple[float, float]], window_us: float, end_us: float
-) -> List[Tuple[float, Optional[float]]]:
-    n_buckets = int(end_us // window_us) + 1
-    if len(samples):
-        t = _np.fromiter((s[0] for s in samples), dtype=_np.float64, count=len(samples))
-        v = _np.fromiter((s[1] for s in samples), dtype=_np.float64, count=len(samples))
-        idx = (t // window_us).astype(_np.int64)
-        # bincount accumulates weights in input order — the same
-        # left-to-right addition sequence as the dict kernel, so the
-        # per-bucket sums are bit-identical doubles.
-        sums = _np.bincount(idx, weights=v, minlength=n_buckets)
-        counts = _np.bincount(idx, minlength=n_buckets)
-    else:
-        sums = _np.zeros(n_buckets)
-        counts = _np.zeros(n_buckets, dtype=_np.int64)
-    series: List[Tuple[float, Optional[float]]] = []
-    for i in range(n_buckets):
-        c = int(counts[i])
-        if c:
-            series.append((i * window_us, float(sums[i]) / c))
-        else:
-            series.append((i * window_us, None))
+    for i, hi in enumerate(ends):
+        series.append((i * window_us, (hi - lo) * SEC / window_us))
+        lo = hi
     return series
 
 
 def bucket_mean_series(
     samples: Sequence[Tuple[float, float]], window_us: float, end_us: float
 ) -> List[Tuple[float, Optional[float]]]:
-    """Average (t_us, value) samples into fixed windows (None when empty)."""
-    if window_us <= 0:
+    """Average (t_us, value) samples into fixed windows (None when empty).
+
+    Samples at equal times keep their input order, so on time-ordered
+    input each window adds exactly the values a per-sample pass would, in
+    the same order.
+    """
+    if not window_us > 0:
         raise ConfigurationError("window must be positive")
-    if _np is not None and len(samples) >= 64:
-        return _bucket_mean_numpy(samples, window_us, end_us)
-    return _bucket_mean_python(samples, window_us, end_us)
+    ordered = sorted(samples, key=itemgetter(0))
+    lo, ends = _window_ends(
+        list(map(itemgetter(0), ordered)), window_us, end_us
+    )
+    values = list(map(itemgetter(1), ordered))
+    series: List[Tuple[float, Optional[float]]] = []
+    for i, hi in enumerate(ends):
+        if hi > lo:
+            mean = reduce(add, values[lo:hi], 0.0) / (hi - lo)
+            series.append((i * window_us, mean))
+        else:
+            series.append((i * window_us, None))
+        lo = hi
+    return series
 
 
 class PeriodicSampler:
@@ -382,7 +312,7 @@ class PeriodicSampler:
         interval_us: float,
         name: str = "sampler",
     ):
-        if interval_us <= 0:
+        if not interval_us > 0:
             raise ConfigurationError("sampler interval must be positive")
         self.series = TimeSeries(name)
         self._probe = probe

@@ -1,6 +1,5 @@
 """Cross-cutting property-based invariants (hypothesis)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +39,12 @@ class TestSimulatorProperties:
         assert len(fired) == len(delays) - 1
 
 
+@pytest.fixture(scope="module")
+def np():
+    """numpy as a reference implementation; the library never imports it."""
+    return pytest.importorskip("numpy")
+
+
 class TestNumericAgreementWithNumpy:
     @given(
         values=st.lists(
@@ -48,7 +53,7 @@ class TestNumericAgreementWithNumpy:
         pct=st.floats(1.0, 100.0),
     )
     @settings(max_examples=100, deadline=None)
-    def test_percentile_is_inverted_cdf(self, values, pct):
+    def test_percentile_is_inverted_cdf(self, np, values, pct):
         ours = percentile(values, pct)
         numpy_result = float(
             np.percentile(np.array(values), pct, method="inverted_cdf")
@@ -63,7 +68,7 @@ class TestNumericAgreementWithNumpy:
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_integrate_matches_numpy_trapezoid(self, samples):
+    def test_integrate_matches_numpy_trapezoid(self, np, samples):
         times = sorted(sec(t) for t, _ in samples)
         values = [v for _, v in samples]
         ts = TimeSeries()

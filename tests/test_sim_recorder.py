@@ -1,11 +1,20 @@
 """Time series, latency recorder and percentile math."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.sim import LatencyRecorder, Simulator, TimeSeries, percentile
-from repro.sim.recorder import PeriodicSampler, percentiles
-from repro.units import sec
+from repro.sim.recorder import (
+    PeriodicSampler,
+    bucket_mean_series,
+    bucket_rate_series,
+    percentiles,
+)
+from repro.units import SEC, sec
 
 
 class TestPercentile:
@@ -153,6 +162,10 @@ class TestPeriodicSampler:
         with pytest.raises(ConfigurationError):
             PeriodicSampler(Simulator(), lambda: 1.0, 0.0)
 
+    def test_nan_interval_rejected(self):
+        with pytest.raises(ConfigurationError):
+            PeriodicSampler(Simulator(), lambda: 1.0, float("nan"))
+
 
 class TestIncrementalSortedCache:
     """sorted_samples() merges the sorted prefix with the new tail instead
@@ -201,72 +214,127 @@ class TestIncrementalSortedCache:
         assert rec.sorted_samples() == [1.0, 2.0]
 
 
-class TestVectorizedKernelsAgree:
-    """Property test: the numpy kernels and the pure-python fallbacks are
-    the same function.  The dispatch thresholds (32/64 samples) mean both
-    paths run in production, so they must agree — to 1e-12 where float
-    association could differ, exactly where it cannot."""
+def _bucket_rate_oracle(times_us, window_us, end_us):
+    """Per-sample binning: every timestamp lands in window
+    ``int(t // window_us)``, in input order."""
+    buckets = {}
+    for t in times_us:
+        buckets[int(t // window_us)] = buckets.get(int(t // window_us), 0) + 1
+    n_buckets = int(end_us // window_us) + 1
+    series = []
+    for i in range(n_buckets):
+        rate = buckets.get(i, 0) * SEC / window_us
+        series.append((i * window_us, rate))
+    return series
 
-    def _skip_without_numpy(self):
-        from repro.sim import recorder
 
-        if recorder._np is None:
-            pytest.skip("numpy unavailable (or REPRO_PURE_PYTHON=1)")
-        return recorder
+def _bucket_mean_oracle(samples, window_us, end_us):
+    """Per-sample binning with running sums: each window adds its values
+    in input order, starting from 0.0."""
+    sums = {}
+    counts = {}
+    for t, v in samples:
+        idx = int(t // window_us)
+        sums[idx] = sums.get(idx, 0.0) + v
+        counts[idx] = counts.get(idx, 0) + 1
+    series = []
+    for i in range(int(end_us // window_us) + 1):
+        if counts.get(i):
+            series.append((i * window_us, sums[i] / counts[i]))
+        else:
+            series.append((i * window_us, None))
+    return series
 
-    def test_percentile_kernels_pick_identical_elements(self):
-        import random
 
-        recorder = self._skip_without_numpy()
+#: Window length and horizon (us): integral and fractional windows, which
+#: may be shorter or longer than the horizon, including a horizon inside
+#: the first window.
+_windows = st.one_of(st.integers(1, 100).map(float), st.floats(0.1, 100.0))
+_horizons = st.one_of(st.integers(0, 1_000).map(float), st.floats(0.0, 1e3))
+
+
+@st.composite
+def _timed_samples(draw):
+    """(t, v) samples whose times hit window edges ``k * window_us``
+    exactly, repeat (ties), go negative and run past the horizon."""
+    window_us = draw(_windows)
+    end_us = draw(_horizons)
+    edge = st.integers(-3, 12).map(lambda k: k * window_us)
+    anywhere = st.floats(-2.0 * window_us, end_us + 3.0 * window_us)
+    times = draw(st.lists(st.one_of(edge, anywhere), max_size=60))
+    # a few exact repeats of drawn times: equal-time ties
+    times += draw(st.lists(st.sampled_from(times), max_size=10)) if times else []
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    samples = [(t, draw(values)) for t in times]
+    return samples, window_us, end_us
+
+
+class TestOrderAwareReductions:
+    """The bisection reductions against the per-sample binning oracles:
+    exact (``==``) on time-ordered input — the series every caller
+    passes — and sorted-first on input in any order."""
+
+    @given(_timed_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_time_ordered_rates_match_the_oracle(self, case):
+        samples, window_us, end_us = case
+        times = sorted(t for t, _ in samples)
+        assert bucket_rate_series(times, window_us, end_us) == (
+            _bucket_rate_oracle(times, window_us, end_us)
+        )
+
+    @given(_timed_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_time_ordered_means_match_the_oracle(self, case):
+        samples, window_us, end_us = case
+        samples.sort(key=lambda s: s[0])  # stable: ties keep draw order
+        assert bucket_mean_series(samples, window_us, end_us) == (
+            _bucket_mean_oracle(samples, window_us, end_us)
+        )
+
+    @given(_timed_samples(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_unsorted_input_is_sorted_first(self, case, rng):
+        samples, window_us, end_us = case
+        rng.shuffle(samples)
+        times = [t for t, _ in samples]
+        assert bucket_rate_series(times, window_us, end_us) == (
+            _bucket_rate_oracle(times, window_us, end_us)
+        )
+        by_time = sorted(samples, key=lambda s: s[0])
+        assert bucket_mean_series(samples, window_us, end_us) == (
+            _bucket_mean_oracle(by_time, window_us, end_us)
+        )
+
+    def test_empty_input_gives_empty_windows(self):
+        assert bucket_rate_series([], 10.0, 25.0) == [
+            (0.0, 0.0), (10.0, 0.0), (20.0, 0.0)
+        ]
+        assert bucket_mean_series([], 10.0, 25.0) == [
+            (0.0, None), (10.0, None), (20.0, None)
+        ]
+
+    def test_window_longer_than_the_horizon(self):
+        # one window, [0, 100): the sample at t=100 opens the next one,
+        # which lies past the horizon
+        samples = [(0.0, 1.0), (3.0, 2.0), (99.0, 4.0), (100.0, 8.0)]
+        assert bucket_mean_series(samples, 100.0, 5.0) == [(0.0, 7.0 / 3)]
+        assert bucket_rate_series([t for t, _ in samples], 100.0, 5.0) == [
+            (0.0, 3 * SEC / 100.0)
+        ]
+
+    def test_percentiles_pick_the_sorted_elements(self):
         rng = random.Random(7)
         values = [rng.expovariate(1 / 50.0) for _ in range(501)]
         pcts = [0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0]
-        py = recorder._percentiles_python(values, pcts)
-        np_ = recorder._percentiles_numpy(values, pcts)
-        # nearest-rank selection returns an *element*, so identity is exact
-        assert py == np_
-
-    def test_bucket_rate_kernels_identical(self):
-        import random
-
-        recorder = self._skip_without_numpy()
-        rng = random.Random(13)
-        times = sorted(rng.uniform(0.0, 5e6) for _ in range(2000))
-        py = recorder._bucket_rate_python(times, 1e5, 5e6)
-        np_ = recorder._bucket_rate_numpy(times, 1e5, 5e6)
-        assert py == np_  # integer counts scaled identically: exact
-
-    def test_bucket_mean_kernels_agree_to_1e_12(self):
-        import random
-
-        recorder = self._skip_without_numpy()
-        rng = random.Random(29)
-        samples = [
-            (rng.uniform(0.0, 2e6), rng.gauss(100.0, 37.0))
-            for _ in range(1500)
+        ordered = sorted(values)
+        assert percentiles(values, pcts) == [
+            percentile(ordered, pct, presorted=True) for pct in pcts
         ]
-        samples.sort()
-        py = recorder._bucket_mean_python(samples, 5e4, 2e6)
-        np_ = recorder._bucket_mean_numpy(samples, 5e4, 2e6)
-        assert len(py) == len(np_)
-        for (t_a, v_a), (t_b, v_b) in zip(py, np_):
-            assert t_a == t_b
-            if v_a is None or v_b is None:
-                assert v_a is None and v_b is None
-            else:
-                assert v_b == pytest.approx(v_a, abs=1e-12, rel=1e-12)
 
-    def test_public_apis_agree_across_dispatch_threshold(self):
-        """percentiles()/bucket_rate_series() answers must not change when
-        input size crosses the numpy dispatch thresholds (32/64)."""
-        from repro.sim import recorder
-        from repro.sim.recorder import bucket_rate_series
-
-        values = [float((i * 37) % 101) for i in range(40)]  # >= 32: numpy
-        assert percentiles(values, [50.0, 99.0]) == (
-            recorder._percentiles_python(values, [50.0, 99.0])
-        )
-        times = sorted(float(i * 997 % 100_000) for i in range(80))  # >= 64
-        assert bucket_rate_series(times, 1e4, 1e5) == (
-            recorder._bucket_rate_python(times, 1e4, 1e5)
-        )
+    @pytest.mark.parametrize("window_us", [0.0, -1.0, float("nan")])
+    def test_nonpositive_or_nan_window_rejected(self, window_us):
+        with pytest.raises(ConfigurationError, match="window must be positive"):
+            bucket_rate_series([1.0], window_us, 10.0)
+        with pytest.raises(ConfigurationError, match="window must be positive"):
+            bucket_mean_series([(1.0, 1.0)], window_us, 10.0)

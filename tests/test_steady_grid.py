@@ -1,19 +1,15 @@
-"""The vectorized steady-grid kernel: numpy/scalar parity of every array
-kernel, byte-identity of :func:`steady_grid` — with numpy and through
-the kernels' pure-python branches — against the scalar steady model kept
-here as an oracle, and the ``REPRO_PURE_PYTHON`` gate."""
+"""The steady-grid kernels: parity of every flat kernel with its scalar
+model, and byte-identity of :func:`steady_grid` against the scalar steady
+model kept here as an oracle."""
 
-import os
 import random
-import subprocess
-import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
 from repro import calibration as cal
 from repro.errors import ConfigurationError
-from repro.hw.device import get_device
+from repro.hw.device import device_names, get_device
 from repro.naming import rack_qualified
 from repro.scenarios import (
     ScenarioSpec,
@@ -34,33 +30,29 @@ from repro.scenarios.fastpath import (
     _host_racks,
     _per_host_rates,
     _rack_steady_shape,
-    _uplink_direction_loads,
     host_steady_eligible,
     steady_eligible,
 )
 from repro.scenarios.sweep import _materialize
 from repro.steady import grid
+from repro.steady.base import SoftwareCurveModel
+from repro.steady.fabric import FabricUplinkModel
 from repro.steady.kvs import memcached_model
 from repro.steady.ondemand import device_hardware_model
 
 #: Registered sweeps whose every grid point is steady-state eligible —
-#: the sweeps the vectorized kernel (and the adaptive search) covers.
+#: the sweeps the batched kernel (and the adaptive search) covers.
 ELIGIBLE_SWEEPS = ["sweep-rack-kvs", "sweep-rack-hetero", "sweep-fabric-scale"]
 
-#: Small but non-degenerate grids: below, at, and beyond capacity, plus
-#: zero rate, so the saturation branches of every kernel are exercised.
+#: Small but non-degenerate rates: below, at, and beyond a 66 kpps
+#: capacity, plus zero rate, so the saturation branches of every kernel
+#: are exercised.
 _RATE = [0.0, 4_000.0, 38_000.0, 66_000.0, 250_000.0]
-_CAP = [66_000.0, 66_000.0, 66_000.0, 66_000.0, 66_000.0]
 
 
 def _eligible_grid(name):
     sweep = build_sweep_spec(name)
     return [_materialize(sweep, params) for params in sweep.points()]
-
-
-needs_numpy = pytest.mark.skipif(
-    not grid.have_numpy(), reason="numpy not importable in this env"
-)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +83,29 @@ def _host_models(host, mode: str):
         return software.power_at, software.capacity_pps, software.latency_at
     hardware = device_hardware_model("kvs", host.device.kind)
     return hardware.power_at, hardware.capacity_pps, hardware.latency_at
+
+
+def _uplink_direction_loads(
+    rack_names: Sequence[str],
+    racks: Sequence[Tuple[str, str]],
+    rates: Sequence[float],
+) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """Offered pps on each uplink direction: ``(up[rack], down[rack])``,
+    from every host's ``(host rack, client rack)`` pair and offered rate,
+    in host order: a cross-rack host's requests leave the client's rack
+    (up) and enter the host's rack (down), and its responses make the
+    reverse trip.  Loads cover the **whole** fleet: the FIFO uplinks
+    queue everyone's packets together."""
+    up = {rack: 0.0 for rack in rack_names}
+    down = {rack: 0.0 for rack in rack_names}
+    for (host_rack, client_rack), rate in zip(racks, rates):
+        if client_rack == host_rack:
+            continue
+        up[client_rack] += rate
+        down[host_rack] += rate
+        up[host_rack] += rate
+        down[client_rack] += rate
+    return up, down
 
 
 def scalar_steady_point(
@@ -139,7 +154,7 @@ def scalar_steady_point(
     total_offered = sum(rate for _, rate in selected)
     fabric = spec.fabric
     if fabric is not None:
-        uplink = _fabric_uplink_model(spec)
+        uplink = _fabric_uplink_model(fabric)
         racks = [_host_racks(fabric, host) for host in spec.kvs_hosts]
         up_loads, down_loads = _uplink_direction_loads(
             fabric.rack_names(), racks, rates
@@ -189,84 +204,104 @@ def scalar_steady_point(
 
 
 # ---------------------------------------------------------------------------
-# Kernel-level parity: the numpy path vs. the scalar loop, same inputs.
+# Kernel-level parity: each flat kernel vs. its scalar model, same inputs.
 # ---------------------------------------------------------------------------
 
 
-@needs_numpy
+def _kvs_hardware_models():
+    """The KVS card line of every registered offload device."""
+    return [
+        device_hardware_model("kvs", kind)
+        for kind in device_names()
+        if get_device(kind).is_offload
+    ]
+
+
 class TestKernelParity:
-    """Each kernel's vectorized result must equal the scalar loop exactly
-    (``==`` on floats, not approx) — that is what makes the grid fast
-    path byte-identical rather than merely close."""
+    """Each kernel must equal its scalar model method exactly (``==`` on
+    floats, not approx) — that is what makes the grid fast path
+    byte-identical rather than merely close."""
 
-    def _both(self, monkeypatch, func, *arrays):
-        vec = func(*arrays)
-        monkeypatch.setattr(grid, "_np", None)
-        scalar = func(*arrays)
-        return vec, scalar
-
-    def test_software_power(self, monkeypatch):
+    def test_software_power(self):
         n = len(_RATE)
-        vec, scalar = self._both(
-            monkeypatch,
-            grid.software_power,
-            _RATE,
-            _CAP,
-            [35.0] * n,                      # idle_w
-            [55.0] * n,                      # span_w
-            [0.53, 1.0, 0.53, 2.0, 0.53],    # alpha: fractional and integral
-            [0.0, 3.0, 0.0, 3.0, 0.0],       # poly_w: off and on
-            [2.0] * n,                       # poly_exp
-            [0.0, 4.1, 0.0, 4.1, 0.0],       # sub_w (power-save NIC out)
-            [0.0, 1.2, 0.0, 1.2, 0.0],       # add_w (card standby in)
-        )
-        assert vec == scalar
-
-    def test_software_latency(self, monkeypatch):
-        vec, scalar = self._both(
-            monkeypatch, grid.software_latency, _RATE, _CAP, [12.0] * len(_RATE)
-        )
-        assert vec == scalar
-
-    def test_hardware_power(self, monkeypatch):
-        n = len(_RATE)
-        vec, scalar = self._both(
-            monkeypatch,
-            grid.hardware_power,
-            _RATE,
-            _CAP,
-            [52.0] * n,
-            [6.5] * n,
-        )
-        assert vec == scalar
-
-    def test_served_pps(self, monkeypatch):
-        vec, scalar = self._both(monkeypatch, grid.served_pps, _RATE, _CAP)
-        assert vec == scalar
-
-    def test_crossing_us(self, monkeypatch):
-        vec, scalar = self._both(
-            monkeypatch,
-            grid.crossing_us,
-            [0.0, 10_000.0, 900_000.0, 2_000_000.0, 5_000_000.0],
-            [1.5] * 5,
-            [0.48] * 5,
-        )
-        assert vec == scalar
-
-    def test_throughput_factor(self, monkeypatch):
-        vec, scalar = self._both(
-            monkeypatch,
-            grid.throughput_factor,
-            [0.0, 50_000.0, 100_000.0, 150_000.0, 400_000.0],
-            [100_000.0] * 5,
-        )
-        assert vec == scalar
+        for model in (
+            memcached_model(),
+            SoftwareCurveModel("frac", 66_000.0, 35.0, 90.0, alpha=0.53),
+            SoftwareCurveModel(
+                "poly", 66_000.0, 35.0, 90.0, alpha=2.0, poly_w=3.0,
+                poly_exp=2.0,
+            ),
+        ):
+            span = model.peak_w - model.idle_w - model.poly_w
+            columns = (
+                [model.capacity_pps] * n,
+                [model.idle_w] * n,
+                [span] * n,
+                [model.alpha] * n,
+                [model.poly_w] * n,
+                [model.poly_exp] * n,
+            )
+            plain = grid.software_power(_RATE, *columns, [0.0] * n, [0.0] * n)
+            assert plain == [model.power_at(r) for r in _RATE], model.name
+            # the power-save swap: NIC idle out, card standby in
+            swapped = grid.software_power(
+                _RATE, *columns, [4.1] * n, [1.2] * n
+            )
+            assert swapped == [
+                (model.power_at(r) - 4.1) + 1.2 for r in _RATE
+            ], model.name
 
     def test_pow_elementwise_is_python_pow(self):
-        base = grid._asarray([0.0, 0.25, 0.5, 0.997, 1.0])
-        out = grid._pow_elementwise(base, grid._asarray([0.53] * 5))
-        assert out.tolist() == [b ** 0.53 for b in base.tolist()]
+        """The α-curve raises each utilization with python's float pow,
+        the operation the scalar curve uses (an array pow may differ in
+        the last ulp)."""
+        us = [0.0, 0.25, 0.5, 0.997, 1.0]
+        n = len(us)
+        # capacity 1, idle 0, span 1, no poly term, no swap: p = u ** α
+        out = grid.software_power(
+            us, [1.0] * n, [0.0] * n, [1.0] * n, [0.53] * n, [0.0] * n,
+            [2.0] * n, [0.0] * n, [0.0] * n,
+        )
+        assert out == [u ** 0.53 for u in us]
+
+    def test_software_latency(self):
+        model = memcached_model()
+        n = len(_RATE)
+        assert grid.software_latency(
+            _RATE, [model.capacity_pps] * n, [model.base_latency_us()] * n
+        ) == [model.latency_at(r) for r in _RATE]
+
+    def test_hardware_power(self):
+        n = len(_RATE)
+        for model in _kvs_hardware_models():
+            assert grid.hardware_power(
+                _RATE,
+                [model.capacity_pps] * n,
+                [model.power_at(0.0)] * n,
+                [model.card_dynamic_max_w] * n,
+            ) == [model.power_at(r) for r in _RATE], model.name
+
+    def test_served_pps(self):
+        for model in (memcached_model(), *_kvs_hardware_models()):
+            assert grid.served_pps(
+                _RATE, [model.capacity_pps] * len(_RATE)
+            ) == [model.achieved_pps(r) for r in _RATE], model.name
+
+    def test_crossing_us(self):
+        uplink = FabricUplinkModel(latency_us=1.5, effective_bps=2.5e9)
+        loads = [0.0, 10_000.0, 900_000.0, 2_000_000.0, 5_000_000.0]
+        n = len(loads)
+        assert grid.crossing_us(
+            loads, [uplink.latency_us] * n, [uplink.serialization_us] * n
+        ) == [uplink.crossing_us(load) for load in loads]
+
+    def test_throughput_factor(self):
+        uplink = FabricUplinkModel(latency_us=1.5, effective_bps=1.024e8)
+        loads = [0.0, 50_000.0, 100_000.0, 150_000.0, 400_000.0]
+        assert uplink.capacity_pps == 100_000.0
+        assert grid.throughput_factor(
+            loads, [uplink.capacity_pps] * len(loads)
+        ) == [uplink.throughput_factor(load) for load in loads]
 
 
 # ---------------------------------------------------------------------------
@@ -285,27 +320,8 @@ def test_steady_grid_matches_steady_point(name, mode):
     assert steady_grid(specs, mode) == want
 
 
-@needs_numpy
-@pytest.mark.parametrize("name", ELIGIBLE_SWEEPS)
-def test_steady_grid_fallback_is_the_per_point_loop(name, monkeypatch):
-    """Without numpy, the kernels' pure-python branches give the scalar
-    oracle's per-point answers, and so the vectorized pass's too."""
-    for mode, variant in (
-        ("software", software_variant),
-        ("hardware", hardware_variant),
-    ):
-        specs = [variant(spec) for spec in _eligible_grid(name)]
-        vectorized = steady_grid(specs, mode)
-        with monkeypatch.context() as patched:
-            patched.setattr(grid, "_np", None)
-            assert not grid.have_numpy()
-            fallback = steady_grid(specs, mode)
-        assert fallback == [scalar_steady_point(spec, mode) for spec in specs]
-        assert fallback == vectorized
-
-
 @pytest.mark.parametrize("rate", [8.0, 16.0, 24.0, 32.0])
-def test_steady_grid_subset_matches_steady_point(rate, monkeypatch):
+def test_steady_grid_subset_matches_steady_point(rate):
     """The per-placement subset: the NIC-only host of a NetFPGA +
     NIC-only rack's on-demand pin, rated off the full rack's split."""
     od = ondemand_variant(
@@ -320,8 +336,6 @@ def test_steady_grid_subset_matches_steady_point(rate, monkeypatch):
     indices, residual = split_steady(od)
     assert indices == (1,) and residual is not None
     want = [scalar_steady_point(od, "software", host_indices=indices)]
-    assert steady_grid([od], "software", indices) == want
-    monkeypatch.setattr(grid, "_np", None)
     assert steady_grid([od], "software", indices) == want
 
 
@@ -383,34 +397,3 @@ def test_steady_grid_memo_matches_oracle_on_a_mixed_batch():
             got = steady_grid(specs, mode, indices)
             assert [repr(est) for est in got] == want[(mode, indices)], memo
     assert _host_layout.cache_info().hits > 0
-
-
-# ---------------------------------------------------------------------------
-# The environment gate.
-# ---------------------------------------------------------------------------
-
-
-def test_have_numpy_tracks_module_state(monkeypatch):
-    assert grid.have_numpy() == (grid._np is not None)
-    monkeypatch.setattr(grid, "_np", None)
-    assert grid.have_numpy() is False
-
-
-def test_repro_pure_python_disables_numpy_at_import():
-    import repro
-
-    env = dict(os.environ)
-    env["REPRO_PURE_PYTHON"] = "1"
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from repro.steady import grid; print(grid.have_numpy())",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
