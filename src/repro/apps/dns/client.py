@@ -46,7 +46,7 @@ class DnsClient(Node):
             self.set_rate(rate_pps)
 
     def set_rate(self, rate_pps: float) -> None:
-        if rate_pps < 0:
+        if not rate_pps >= 0:
             raise ConfigurationError("rate must be >= 0")
         if self._send_timer is not None:
             self._send_timer.cancel()

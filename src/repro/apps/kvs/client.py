@@ -62,7 +62,7 @@ class KvsClient(Node):
 
     def set_rate(self, rate_pps: float) -> None:
         """Change the offered rate (0 stops the generator)."""
-        if rate_pps < 0:
+        if not rate_pps >= 0:
             raise ConfigurationError("rate must be >= 0")
         if self._send_timer is not None:
             self._send_timer.cancel()

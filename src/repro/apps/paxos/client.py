@@ -66,7 +66,7 @@ class PaxosClient(Node):
     # -- load control ------------------------------------------------------
 
     def set_rate(self, rate_pps: float) -> None:
-        if rate_pps < 0:
+        if not rate_pps >= 0:
             raise ConfigurationError("rate must be >= 0")
         if self._send_timer is not None:
             self._send_timer.cancel()

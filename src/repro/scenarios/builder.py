@@ -9,15 +9,34 @@ co-located CPU jobs, workload clients with phased rate schedules, and the
 shared sampling.  Executing the run produces a :class:`ScenarioResult`
 carrying per-host, per-group and aggregate timelines — the same series the
 paper's Figures 6/7 plot, generalized to heterogeneous racks.
+
+KVS hosts and DNS replicas share one build path and one collect path:
+the on-demand shift is the same classifier-rule move for both apps (§9.1),
+so :meth:`ScenarioBuilder._build_host` wires either into a
+:class:`BuiltHost` and :meth:`ScenarioRun._collect_host` reads either
+back.  Per-app code is only each rack method's traffic split, the
+software/hardware and client constructors of :class:`_KvsTraffic` and
+:class:`_DnsTraffic`, and the host table's two hardware counters.  Paxos
+groups keep their own paths and share only the wall samplers.
+
+Event order is part of the determinism contract.  Within a host: the
+software util timer, the hardware util timer, the client's ``set_rate``,
+the co-located jobs, the controller's timers (RAPL first), the initial
+hardware pin, the RAPL sampler, the wall sampler.  Placements are built
+KVS, Paxos, DNS and their power is attributed KVS, DNS, Paxos.  RNG
+stream keys are ``<host>.lake.latency``, ``<host>.emu.jitter`` and
+``<client>.arrivals``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Union
 
 from .. import calibration as cal
+from ..apps.common import HardwareService, SoftwareService
 from ..apps.dns import DnsClient, EmuDns, SoftwareNsd, ZoneTable
 from ..apps.kvs import KvsClient, LakeKvs, SoftwareMemcached
 from ..apps.paxos import PaxosClient
@@ -48,6 +67,7 @@ from ..core.predictive_controller import (
     PredictiveControllerConfig,
 )
 from ..errors import ConfigurationError
+from ..floats import left_sum
 from ..host import make_i7_server
 from ..hw.device import DEFAULT_DEVICE_KIND, OffloadDevice, get_device
 from ..naming import rack_qualified, split_rack
@@ -71,7 +91,7 @@ from ..sim import (
 from ..units import gbit_per_s, kpps, msec, sec
 from ..workloads.colocated import ChainerMNWorkload
 from ..workloads.dns import DnsNameWorkload, ShardedDnsWorkload
-from ..workloads.etc import EtcWorkload, ShardedEtcWorkload
+from ..workloads.etc import EtcShardStream, EtcWorkload, ShardedEtcWorkload
 from .spec import (
     RACK_DNS_SERVICE,
     RACK_KVS_SERVICE,
@@ -80,7 +100,6 @@ from .spec import (
     OnDemandSweepSpec,
     PaxosSpec,
     PhaseSchedule,
-    SamplingSpec,
     ScenarioSpec,
 )
 
@@ -101,7 +120,7 @@ def windowed_mean(series, start_us: float, end_us: float, label: str = "series")
     ]
     if not values:
         raise ValueError(f"no {label} samples in window")
-    return sum(values) / len(values)
+    return left_sum(values) / len(values)
 
 
 @dataclass
@@ -236,7 +255,7 @@ class ScenarioResult:
 
     @property
     def offered_pps(self) -> float:
-        return sum(h.offered_pps for h in self.all_hosts)
+        return left_sum(h.offered_pps for h in self.all_hosts)
 
     def aggregate_mean_throughput_pps(self, start_us: float, end_us: float) -> float:
         return windowed_mean(
@@ -245,7 +264,7 @@ class ScenarioResult:
 
     def attributed_power_w(self) -> float:
         """Sum of the per-placement wall-power attribution."""
-        return sum(self.power_by_placement.values())
+        return left_sum(self.power_by_placement.values())
 
     def hosts_with_shifts(self) -> List[HostResult]:
         return [h for h in self.all_hosts if h.shift_times_us]
@@ -356,45 +375,27 @@ class ScenarioResult:
 
 
 @dataclass
-class BuiltKvsHost:
-    """The wired stack behind one KVS host (construction handles).
-
-    On a NIC-only host (``DeviceSpec(kind="none")``) there is no card, no
-    hardware pipeline and no classifier: ``card``/``lake``/``classifier``
-    are None and the software memcached handles every packet directly.
+class BuiltHost:
+    """The wired stack behind one KVS host or DNS replica (construction
+    handles).  ``app`` says which: ``software``/``hardware`` are
+    memcached/LaKe or NSD/Emu DNS.  A NIC-only host has no card, hardware
+    or classifier (all None); its software server takes every packet.
     """
 
-    spec: KvsHostSpec
+    app: str
+    spec: Union[KvsHostSpec, DnsHostSpec]
     server: object
     card: Optional[object]
-    memcached: SoftwareMemcached
-    lake: Optional[LakeKvs]
+    software: SoftwareService
+    hardware: Optional[HardwareService]
     classifier: Optional[PacketClassifier]
     service: OnDemandService
     controller: Optional[ShiftController]
-    client: KvsClient
+    client: Union[KvsClient, DnsClient]
     power_sampler: PeriodicSampler
     wall_sampler: PeriodicSampler
+    #: co-located CPU jobs (only KVS hosts declare them)
     jobs: List[ChainerMNWorkload]
-    offered_pps: float
-
-
-@dataclass
-class BuiltDnsHost:
-    """The wired stack behind one anycast DNS replica (see
-    :class:`BuiltKvsHost` for the NIC-only shape)."""
-
-    spec: DnsHostSpec
-    server: object
-    card: Optional[object]
-    nsd: SoftwareNsd
-    emu: Optional[EmuDns]
-    classifier: Optional[PacketClassifier]
-    service: OnDemandService
-    controller: Optional[ShiftController]
-    client: DnsClient
-    power_sampler: PeriodicSampler
-    wall_sampler: PeriodicSampler
     offered_pps: float
 
 
@@ -435,10 +436,10 @@ class ScenarioRun:
         sim: Simulator,
         topology: Topology,
         switch: Switch,
-        kvs_hosts: List[BuiltKvsHost],
+        kvs_hosts: List[BuiltHost],
         router: Optional[KeyShardRouter],
         paxos_groups: List[BuiltPaxosGroup],
-        dns_hosts: Optional[List[BuiltDnsHost]] = None,
+        dns_hosts: Optional[List[BuiltHost]] = None,
         dns_router: Optional[KeyShardRouter] = None,
         fabric: Optional[Fabric] = None,
         fabric_controller: Optional[FabricController] = None,
@@ -480,16 +481,13 @@ class ScenarioRun:
 
     # -- series collection ---------------------------------------------------
 
-    def _effective_sampling(self, host_spec) -> SamplingSpec:
-        return host_spec.sampling or self.spec.sampling
-
     def _collect(self, duration_us: float) -> ScenarioResult:
         bucket_us = msec(self.spec.sampling.bucket_ms)
         host_results = [
             self._collect_host(host, duration_us) for host in self.kvs_hosts
         ]
         dns_results = [
-            self._collect_dns_host(host, duration_us) for host in self.dns_hosts
+            self._collect_host(host, duration_us) for host in self.dns_hosts
         ]
         # Aggregates always use the scenario-level bucket so hosts with
         # per-host sampling overrides still sum onto aligned buckets.
@@ -530,7 +528,7 @@ class ScenarioRun:
             spine_crossrack = self.fabric.spine.forwarded
             if isinstance(self.router, RouterFleet):
                 crossrack_per_host = self.router.crossrack_per_host
-            uplink_queued_us = sum(l.queued_us for l in self.fabric.uplinks)
+            uplink_queued_us = left_sum(l.queued_us for l in self.fabric.uplinks)
             uplink_max_queue_us = max(
                 (l.max_queue_us for l in self.fabric.uplinks), default=0.0
             )
@@ -584,8 +582,8 @@ class ScenarioRun:
                 )
         return attribute_power(*merge_power_claims(entries))
 
-    def _collect_host(self, host: BuiltKvsHost, duration_us: float) -> HostResult:
-        bucket_us = msec(self._effective_sampling(host.spec).bucket_ms)
+    def _collect_host(self, host: BuiltHost, duration_us: float) -> HostResult:
+        bucket_us = msec((host.spec.sampling or self.spec.sampling).bucket_ms)
         client = host.client
         throughput = bucket_rate_series(
             client.response_times_us, bucket_us, duration_us
@@ -596,12 +594,20 @@ class ScenarioRun:
             duration_us,
         )
         power = _power_series(host.power_sampler, bucket_us, duration_us)
-        lake = host.lake
-        hw_hits = 0
-        hw_miss_forwards = 0
-        if lake is not None:
-            hw_hits = lake.l1.hits + (lake.l2.hits if lake.l2 is not None else 0)
-            hw_miss_forwards = lake.miss_forwards
+        # the host table's two hardware columns
+        hardware = host.hardware
+        if hardware is None:
+            hw_hits = hw_miss_forwards = 0
+        elif host.app == "kvs":
+            # LaKe: hits in either cache layer, misses forwarded to memcached
+            hw_hits = hardware.l1.hits + (
+                hardware.l2.hits if hardware.l2 is not None else 0
+            )
+            hw_miss_forwards = hardware.miss_forwards
+        else:
+            # Emu: queries answered on the card, names deeper than its parser
+            hw_hits = hardware.served
+            hw_miss_forwards = hardware.deep_query_fallbacks
         return HostResult(
             name=host.spec.name,
             offered_pps=host.offered_pps,
@@ -612,36 +618,7 @@ class ScenarioRun:
             hw_hits=hw_hits,
             hw_miss_forwards=hw_miss_forwards,
             responses=client.responses,
-            app="kvs",
-            controller_kind=host.spec.controller.kind,
-            device_kind=host.spec.device.kind,
-        )
-
-    def _collect_dns_host(self, host: BuiltDnsHost, duration_us: float) -> HostResult:
-        bucket_us = msec(self._effective_sampling(host.spec).bucket_ms)
-        client = host.client
-        throughput = bucket_rate_series(
-            client.response_times_us, bucket_us, duration_us
-        )
-        latency = bucket_mean_series(
-            list(zip(client.latency_series.times, client.latency_series.values)),
-            bucket_us,
-            duration_us,
-        )
-        power = _power_series(host.power_sampler, bucket_us, duration_us)
-        return HostResult(
-            name=host.spec.name,
-            offered_pps=host.offered_pps,
-            shift_times_us=host.service.shift_times_us(),
-            throughput_series=throughput,
-            latency_series=latency,
-            power_series=power,
-            hw_hits=host.emu.served if host.emu is not None else 0,
-            hw_miss_forwards=(
-                host.emu.deep_query_fallbacks if host.emu is not None else 0
-            ),
-            responses=client.responses,
-            app="dns",
+            app=host.app,
             controller_kind=host.spec.controller.kind,
             device_kind=host.spec.device.kind,
         )
@@ -754,10 +731,10 @@ def attribute_power(
             raise ConfigurationError(
                 f"power samples for {server!r} are claimed by no placement"
             )
-        mean_w = sum(samples) / len(samples)
+        mean_w = left_sum(samples) / len(samples)
         weights = (busy_us_by_server or {}).get(server)
         busy = [max(0.0, (weights or {}).get(owner, 0.0)) for owner in owners]
-        busy_total = sum(busy)
+        busy_total = left_sum(busy)
         for owner, owner_busy in zip(owners, busy):
             if busy_total > 0.0:
                 share = mean_w * owner_busy / busy_total
@@ -770,7 +747,7 @@ def attribute_power(
             else:
                 per_sample_totals.append(value)
     total = (
-        sum(per_sample_totals) / len(per_sample_totals)
+        left_sum(per_sample_totals) / len(per_sample_totals)
         if per_sample_totals
         else 0.0
     )
@@ -841,6 +818,75 @@ class _PaxosRoleFanout:
         role.offer(packet)
 
 
+@dataclass
+class _KvsTraffic:
+    """A KVS host's share of the ETC load (``etc``: the workload or one
+    shard's stream) and its app: memcached, LaKe (§3.1), an ETC client."""
+
+    app: ClassVar[str] = "kvs"
+    traffic_class: ClassVar[TrafficClass] = TrafficClass.MEMCACHED
+    server_name: str
+    rate_pps: float
+    etc: Union[EtcWorkload, EtcShardStream]
+    preload: Optional[Callable]
+
+    def software(self, sim: Simulator, server) -> SoftwareMemcached:
+        memcached = SoftwareMemcached(sim, server)
+        if self.preload is not None:
+            self.preload(memcached.store.set)
+        return memcached
+
+    def hardware(self, sim, streams, card, server, memcached, capacity_pps) -> LakeKvs:
+        rng = streams.get(f"{server.name}.lake.latency")
+        return LakeKvs(sim, card, server, memcached, rng=rng, capacity_pps=capacity_pps)
+
+    def client(self, sim: Simulator, name: str, rng) -> KvsClient:
+        return KvsClient(
+            sim,
+            name,
+            server_name=self.server_name,
+            key_sampler=self.etc.key,
+            value_sampler=self.etc.value,
+            set_fraction=self.etc.set_fraction,
+            rng=rng,
+        )
+
+
+@dataclass
+class _DnsTraffic:
+    """A DNS replica's share of the query stream and its app: NSD and Emu
+    DNS (§3.3), both answering for ``records``, and a DNS client."""
+
+    app: ClassVar[str] = "dns"
+    traffic_class: ClassVar[TrafficClass] = TrafficClass.DNS
+    server_name: str
+    rate_pps: float
+    name_sampler: Callable[[], str]
+    records: list
+
+    def software(self, sim: Simulator, server) -> SoftwareNsd:
+        zone = ZoneTable(name=f"{server.name}.zone")
+        zone.add_many(self.records)
+        return SoftwareNsd(sim, server, zone=zone)
+
+    def hardware(self, sim, streams, card, server, nsd, capacity_pps) -> EmuDns:
+        rng = streams.get(f"{server.name}.emu.jitter")
+        emu = EmuDns(
+            sim, card, server, fallback=nsd, rng=rng, capacity_pps=capacity_pps
+        )
+        emu.zone.add_many(self.records)
+        return emu
+
+    def client(self, sim: Simulator, name: str, rng) -> DnsClient:
+        return DnsClient(
+            sim,
+            name,
+            server_name=self.server_name,
+            name_sampler=self.name_sampler,
+            rng=rng,
+        )
+
+
 class ScenarioBuilder:
     """Materializes a :class:`ScenarioSpec` into a :class:`ScenarioRun`."""
 
@@ -877,10 +923,10 @@ class ScenarioBuilder:
             topo.add(switch)
         #: shared acceptor boxes built so far: name -> (server, fanout)
         self._shared_acceptor_hosts: Dict[str, Tuple[object, _PaxosRoleFanout]] = {}
-        #: one wall sampler per physical box, even when groups share it
-        self._wall_sampler_cache: Dict[str, PeriodicSampler] = {}
+        #: one wall sampler per physical box, even when placements share it
+        self._wall_samplers: Dict[str, PeriodicSampler] = {}
 
-        kvs_hosts: List[BuiltKvsHost] = []
+        kvs_hosts: List[BuiltHost] = []
         router = None
         if spec.kvs_hosts:
             kvs_hosts, router = self._build_kvs_rack(sim, streams, topo, switch)
@@ -890,7 +936,7 @@ class ScenarioBuilder:
             for group in spec.paxos_groups
         ]
 
-        dns_hosts: List[BuiltDnsHost] = []
+        dns_hosts: List[BuiltHost] = []
         dns_router = None
         if spec.dns_hosts:
             dns_hosts, dns_router = self._build_dns_rack(sim, streams, topo, switch)
@@ -1004,7 +1050,7 @@ class ScenarioBuilder:
         return RouterFleet(tor_routers, spine_router)
 
     def _build_fabric_controller(
-        self, sim: Simulator, kvs_hosts: List[BuiltKvsHost], router
+        self, sim: Simulator, kvs_hosts: List[BuiltHost], router
     ) -> Optional[FabricController]:
         """Materialize the scenario-level §9.1 centralized controller."""
         ctl_spec = self.spec.fabric_controller
@@ -1041,6 +1087,21 @@ class ScenarioBuilder:
             config=FabricControllerConfig(**params) if params else None,
         )
 
+    def _wall_sampler(self, sim: Simulator, node_name: str, probe) -> PeriodicSampler:
+        """The wall-power sampler of one physical box, on the shared
+        scenario cadence so the §9.4 attribution sees aligned series.  A
+        box several placements claim (a shared acceptor host) is sampled
+        once: every claimant gets the same sampler, as it is one probe."""
+        sampler = self._wall_samplers.get(node_name)
+        if sampler is None:
+            sampler = self._wall_samplers[node_name] = PeriodicSampler(
+                sim,
+                probe,
+                msec(self.spec.sampling.power_interval_ms),
+                name=f"{node_name}.wall-power",
+            )
+        return sampler
+
     def _schedule_phases(
         self,
         sim: Simulator,
@@ -1064,8 +1125,6 @@ class ScenarioBuilder:
         app: str,
         host_spec,
         server,
-        classifier: Optional[PacketClassifier],
-        traffic_class: TrafficClass,
         service: OnDemandService,
         device: OffloadDevice,
     ) -> Optional[ShiftController]:
@@ -1073,11 +1132,13 @@ class ScenarioBuilder:
         controller plane.  Every §9.1 family plugs in here; the rate
         thresholds and standby figures default to the host's *device*
         profile (the §4 calibrated crossovers on the NetFPGA, each other
-        device's own analytic crossover), and ``params`` override them."""
+        device's own analytic crossover), and ``params`` override them.
+        Controllers flip the ``service``'s own classifier rule."""
         kind = host_spec.controller.kind
         params = host_spec.controller.as_dict()
         if kind == "none":
             return None
+        classifier, traffic_class = service.classifier, service.traffic_class
         up_pps, down_pps = device.netctl_thresholds_pps(app)
         if kind == "host":
             server.start_rapl(update_interval_us=msec(host_spec.rapl_interval_ms))
@@ -1126,7 +1187,7 @@ class ScenarioBuilder:
             )
         raise ConfigurationError(f"unknown controller kind {kind!r}")  # pragma: no cover
 
-    # -- KVS rack ------------------------------------------------------------
+    # -- KVS and DNS hosts ---------------------------------------------------
 
     def _build_kvs_rack(
         self,
@@ -1134,11 +1195,10 @@ class ScenarioBuilder:
         streams: RngStreams,
         topo: Topology,
         switch: Switch,
-    ) -> Tuple[List[BuiltKvsHost], Optional[KeyShardRouter]]:
+    ) -> Tuple[List[BuiltHost], Optional[KeyShardRouter]]:
         spec = self.spec
         workload = spec.kvs_workload
         host_specs = [self._qualified(h) for h in spec.kvs_hosts]
-        n_hosts = len(host_specs)
         total_rate_pps = kpps(workload.rate_kpps)
 
         if spec.sharded:
@@ -1146,7 +1206,7 @@ class ScenarioBuilder:
             # rack's shard space: each host samples, weighs and preloads
             # its original shard, so per-host traffic is byte-identical to
             # the complete scenario and absent shards simply offer nothing.
-            n_shards = workload.n_shards or n_hosts
+            n_shards = workload.n_shards or len(host_specs)
             shard_indices = [
                 h.shard_index if h.shard_index is not None else i
                 for i, h in enumerate(host_specs)
@@ -1170,51 +1230,36 @@ class ScenarioBuilder:
                 RACK_KVS_SERVICE,
                 lambda: KeyShardRouter(list(owners)),
             )
+            server_name = RACK_KVS_SERVICE
+            etcs = [sharded.stream(s) for s in shard_indices]
+            preloads = [etc.preload for etc in etcs]
         else:
-            sharded = None
-            shard_indices = [0]
+            # one host, addressed by its own name, serving the whole keyspace
+            etc = EtcWorkload(
+                keyspace=workload.keyspace,
+                zipf_s=workload.zipf_s,
+                seed=spec.seed,
+            )
             weights = [1.0]
             router = None
-
-        hosts: List[BuiltKvsHost] = []
-        for index, host_spec in enumerate(host_specs):
-            if sharded is not None:
-                stream = sharded.stream(shard_indices[index])
-                key_sampler, value_sampler = stream.key, stream.value
-                set_fraction = stream.set_fraction
-                preloader = stream.preload if workload.preload else None
-                server_name = RACK_KVS_SERVICE
-                rate_pps = total_rate_pps * weights[index]
-            else:
-                etc = EtcWorkload(
-                    keyspace=workload.keyspace,
-                    zipf_s=workload.zipf_s,
-                    seed=spec.seed,
-                )
-                key_sampler, value_sampler = etc.key, etc.value
-                set_fraction = etc.set_fraction
-                preloader = (
-                    (lambda store_set: etc.preload(store_set, workload.keyspace))
-                    if workload.preload
-                    else None
-                )
-                server_name = host_spec.name
-                rate_pps = total_rate_pps
-            hosts.append(
-                self._build_kvs_host(
-                    sim,
-                    streams,
-                    topo,
-                    host_spec,
-                    server_name=server_name,
-                    rate_pps=rate_pps,
-                    key_sampler=key_sampler,
-                    value_sampler=value_sampler,
-                    set_fraction=set_fraction,
-                    preloader=preloader,
-                )
+            server_name = host_specs[0].name
+            etcs = [etc]
+            preloads = [partial(etc.preload, count=workload.keyspace)]
+        traffic = [
+            _KvsTraffic(
+                server_name=server_name,
+                rate_pps=total_rate_pps * weight,
+                etc=etc,
+                preload=preload if workload.preload else None,
             )
-        if sharded is not None:
+            for etc, preload, weight in zip(etcs, preloads, weights)
+        ]
+
+        hosts = [
+            self._build_host(sim, streams, topo, host_spec, host_traffic)
+            for host_spec, host_traffic in zip(host_specs, traffic)
+        ]
+        if spec.sharded:
             # consolidated shards: the serving host also preloads the
             # donated shard's keys (a fresh same-seed stream, so the
             # donor's own samplers are not perturbed)
@@ -1222,82 +1267,133 @@ class ScenarioBuilder:
             for host, s in zip(hosts, shard_indices):
                 target = host.spec.served_by
                 if target and target != host.spec.name and workload.preload:
-                    sharded.stream(s).preload(by_name[target].memcached.store.set)
+                    sharded.stream(s).preload(by_name[target].software.store.set)
         self._schedule_phases(
             sim, workload.phases, [host.client for host in hosts], weights
         )
         return hosts, router
 
-    def _build_kvs_host(
+    def _build_dns_rack(
         self,
         sim: Simulator,
         streams: RngStreams,
         topo: Topology,
-        host_spec: KvsHostSpec,
-        server_name: str,
-        rate_pps: float,
-        key_sampler,
-        value_sampler,
-        set_fraction: float,
-        preloader,
-    ) -> BuiltKvsHost:
+        switch: Switch,
+    ) -> Tuple[List[BuiltHost], Optional[KeyShardRouter]]:
         spec = self.spec
+        workload = spec.dns_workload
+        host_specs = [self._qualified(h) for h in spec.dns_hosts]
+        total_rate_pps = kpps(workload.rate_kpps)
+
+        if spec.dns_sharded:
+            sharded = ShardedDnsWorkload(
+                n_names=workload.n_names,
+                n_shards=len(host_specs),
+                zipf_s=workload.zipf_s,
+                seed=spec.seed,
+                miss_fraction=workload.miss_fraction,
+            )
+            weights = sharded.shard_weights()
+            # every anycast replica answers for the whole zone
+            records = sharded.records()
+            replica_names = [h.name for h in host_specs]
+            router = self._install_dispatch(
+                switch,
+                TrafficClass.DNS,
+                RACK_DNS_SERVICE,
+                lambda: KeyShardRouter.for_qnames(replica_names),
+            )
+            server_name = RACK_DNS_SERVICE
+            samplers = [sharded.stream(i).name for i in range(len(host_specs))]
+        else:
+            # one replica, addressed by its own name
+            names = DnsNameWorkload(
+                n_names=workload.n_names,
+                zipf_s=workload.zipf_s,
+                seed=spec.seed,
+                miss_fraction=workload.miss_fraction,
+            )
+            weights = [1.0]
+            router = None
+            server_name = host_specs[0].name
+            records = names.records()
+            samplers = [names.name]
+        traffic = [
+            _DnsTraffic(
+                server_name=server_name,
+                rate_pps=total_rate_pps * weight,
+                name_sampler=sampler,
+                records=records,
+            )
+            for sampler, weight in zip(samplers, weights)
+        ]
+
+        hosts = [
+            self._build_host(sim, streams, topo, host_spec, host_traffic)
+            for host_spec, host_traffic in zip(host_specs, traffic)
+        ]
+        self._schedule_phases(
+            sim, workload.phases, [host.client for host in hosts], weights
+        )
+        return hosts, router
+
+    def _build_host(
+        self,
+        sim: Simulator,
+        streams: RngStreams,
+        topo: Topology,
+        host_spec: Union[KvsHostSpec, DnsHostSpec],
+        traffic: Union[_KvsTraffic, _DnsTraffic],
+    ) -> BuiltHost:
+        """Wire one KVS host or DNS replica, in the module docstring's
+        per-host order; ``traffic`` supplies the app pair, the client and
+        the host's share of the load, and everything else is app-blind."""
+        app = traffic.app
         device = get_device(host_spec.device.kind)
         if device.is_offload:
-            # -- server with the device's card replacing its NIC (§4.2)
+            # -- server with the device's card replacing its NIC (§4.2; the
+            # DNS card doubles as the NIC, §3.3)
             server = make_i7_server(sim, name=host_spec.name, nic=None)
-            card = device.make_card("kvs", **host_spec.device.as_dict())
+            card = device.make_card(app, **host_spec.device.as_dict())
             server.install_card(card.power_w)
-            memcached = SoftwareMemcached(sim, server)
-            lake = LakeKvs(
-                sim,
-                card,
-                server,
-                memcached,
-                rng=streams.get(f"{host_spec.name}.lake.latency"),
-                capacity_pps=device.capacity_pps("kvs"),
+            software = traffic.software(sim, server)
+            hardware = traffic.hardware(
+                sim, streams, card, server, software, device.capacity_pps(app)
             )
-            lake.disable(power_save=host_spec.power_save)
+            hardware.disable(power_save=host_spec.power_save)
 
             classifier = PacketClassifier(sim)
             classifier.add_rule(
                 ClassifierRule(
-                    TrafficClass.MEMCACHED, hardware=lake.offer, host=memcached.offer
+                    traffic.traffic_class,
+                    hardware=hardware.offer,
+                    host=software.offer,
                 )
             )
             server.set_packet_handler(classifier.classify)
         else:
             # -- NIC-only host: the ordinary NIC stays in, the software
-            # memcached handles every packet, nothing can ever shift
+            # server handles every packet, nothing can ever shift
             server = make_i7_server(sim, name=host_spec.name)
-            card = None
-            memcached = SoftwareMemcached(sim, server)
-            lake = None
-            classifier = None
-            server.set_packet_handler(memcached.offer)
-        if preloader is not None:
-            preloader(memcached.store.set)
+            card = hardware = classifier = None
+            software = traffic.software(sim, server)
+            server.set_packet_handler(software.offer)
         topo.add(server)
         self._connect(topo, host_spec.name)
 
         # -- the host's slice of the rack workload
         client_name = host_spec.resolved_client_name()
-        client = KvsClient(
-            sim,
-            client_name,
-            server_name=server_name,
-            key_sampler=key_sampler,
-            value_sampler=value_sampler,
-            set_fraction=set_fraction,
-            rng=streams.get(f"{client_name}.arrivals"),
+        client = traffic.client(
+            sim, client_name, streams.get(f"{client_name}.arrivals")
         )
         topo.add(client)
         self._connect(topo, client_name)
-        client.set_rate(rate_pps)
+        client.set_rate(traffic.rate_pps)
 
-        # -- co-located CPU jobs (the Figure 6 trigger)
+        # -- co-located CPU jobs (the Figure 6 trigger; DNS replicas declare
+        # none)
         jobs = []
-        for job_spec in host_spec.colocated:
+        for job_spec in getattr(host_spec, "colocated", ()):
             job = ChainerMNWorkload(
                 sim,
                 server,
@@ -1311,29 +1407,23 @@ class ScenarioBuilder:
         # -- on-demand service + the host's chosen controller kind (§9.1);
         # a NIC-only host gets a hook-less service that never shifts.  The
         # device's warm-up (FPGA reconfiguration, ASIC table loads) delays
-        # classifier activation; software keeps serving meanwhile.
+        # classifier activation; software keeps serving meanwhile.  The
+        # shift-back hook binds this host's power_save now.
         service = OnDemandService(
             sim,
             host_spec.name,
             classifier=classifier,
-            traffic_class=TrafficClass.MEMCACHED,
-            to_hardware=lake.enable if lake is not None else None,
+            traffic_class=traffic.traffic_class,
+            to_hardware=hardware.enable if hardware is not None else None,
             to_software=(
-                (lambda lake=lake: lake.disable(power_save=host_spec.power_save))
-                if lake is not None
+                partial(hardware.disable, power_save=host_spec.power_save)
+                if hardware is not None
                 else None
             ),
             warmup_us=device.warmup_us,
         )
         controller = self._build_controller(
-            sim,
-            "kvs",
-            host_spec,
-            server,
-            classifier,
-            TrafficClass.MEMCACHED,
-            service,
-            device,
+            sim, app, host_spec, server, service, device
         )
         if host_spec.start_in_hardware:
             # before instrumentation: the first sample must see the active
@@ -1346,25 +1436,21 @@ class ScenarioBuilder:
         # -- instrumentation (the paper reads CPU power from RAPL; the wall
         # sampler adds the card draw on the shared scenario cadence so the
         # §9.4 power attribution sees what the SHW 3A meter would)
-        sampling = host_spec.sampling or spec.sampling
+        sampling = host_spec.sampling or self.spec.sampling
         power_sampler = PeriodicSampler(
             sim,
             server.platform_power_w,
             msec(sampling.power_interval_ms),
             name=f"{host_spec.name}.rapl-power",
         )
-        wall_sampler = PeriodicSampler(
-            sim,
-            server.wall_power_w,
-            msec(spec.sampling.power_interval_ms),
-            name=f"{host_spec.name}.wall-power",
-        )
-        return BuiltKvsHost(
+        wall_sampler = self._wall_sampler(sim, host_spec.name, server.wall_power_w)
+        return BuiltHost(
+            app=app,
             spec=host_spec,
             server=server,
             card=card,
-            memcached=memcached,
-            lake=lake,
+            software=software,
+            hardware=hardware,
             classifier=classifier,
             service=service,
             controller=controller,
@@ -1372,192 +1458,7 @@ class ScenarioBuilder:
             power_sampler=power_sampler,
             wall_sampler=wall_sampler,
             jobs=jobs,
-            offered_pps=rate_pps,
-        )
-
-    # -- anycast DNS rack ----------------------------------------------------
-
-    def _build_dns_rack(
-        self,
-        sim: Simulator,
-        streams: RngStreams,
-        topo: Topology,
-        switch: Switch,
-    ) -> Tuple[List[BuiltDnsHost], Optional[KeyShardRouter]]:
-        spec = self.spec
-        workload = spec.dns_workload
-        host_specs = [self._qualified(h) for h in spec.dns_hosts]
-        n_hosts = len(host_specs)
-        total_rate_pps = kpps(workload.rate_kpps)
-
-        if spec.dns_sharded:
-            sharded = ShardedDnsWorkload(
-                n_names=workload.n_names,
-                n_shards=n_hosts,
-                zipf_s=workload.zipf_s,
-                seed=spec.seed,
-                miss_fraction=workload.miss_fraction,
-            )
-            weights = sharded.shard_weights()
-            records = sharded.records()
-            replica_names = [h.name for h in host_specs]
-            router = self._install_dispatch(
-                switch,
-                TrafficClass.DNS,
-                RACK_DNS_SERVICE,
-                lambda: KeyShardRouter.for_qnames(replica_names),
-            )
-        else:
-            sharded = None
-            weights = [1.0]
-            records = None
-            router = None
-
-        hosts: List[BuiltDnsHost] = []
-        for index, host_spec in enumerate(host_specs):
-            if sharded is not None:
-                name_sampler = sharded.stream(index).name
-                server_name = RACK_DNS_SERVICE
-                rate_pps = total_rate_pps * weights[index]
-                host_records = records
-            else:
-                workload_obj = DnsNameWorkload(
-                    n_names=workload.n_names,
-                    zipf_s=workload.zipf_s,
-                    seed=spec.seed,
-                    miss_fraction=workload.miss_fraction,
-                )
-                name_sampler = workload_obj.name
-                server_name = host_spec.name
-                rate_pps = total_rate_pps
-                host_records = workload_obj.records()
-            hosts.append(
-                self._build_dns_host(
-                    sim,
-                    streams,
-                    topo,
-                    host_spec,
-                    server_name=server_name,
-                    rate_pps=rate_pps,
-                    name_sampler=name_sampler,
-                    records=host_records,
-                )
-            )
-        self._schedule_phases(
-            sim, workload.phases, [host.client for host in hosts], weights
-        )
-        return hosts, router
-
-    def _build_dns_host(
-        self,
-        sim: Simulator,
-        streams: RngStreams,
-        topo: Topology,
-        host_spec: DnsHostSpec,
-        server_name: str,
-        rate_pps: float,
-        name_sampler,
-        records,
-    ) -> BuiltDnsHost:
-        spec = self.spec
-        device = get_device(host_spec.device.kind)
-        zone = ZoneTable(name=f"{host_spec.name}.zone")
-        zone.add_many(records)
-        if device.is_offload:
-            # -- server with the device's DNS card doubling as its NIC (§3.3)
-            server = make_i7_server(sim, name=host_spec.name, nic=None)
-            card = device.make_card("dns", **host_spec.device.as_dict())
-            server.install_card(card.power_w)
-            nsd = SoftwareNsd(sim, server, zone=zone)
-            emu = EmuDns(
-                sim,
-                card,
-                server,
-                fallback=nsd,
-                rng=streams.get(f"{host_spec.name}.emu.jitter"),
-                capacity_pps=device.capacity_pps("dns"),
-            )
-            # every anycast replica answers for the whole zone
-            emu.zone.add_many(records)
-            emu.disable(power_save=host_spec.power_save)
-
-            classifier = PacketClassifier(sim)
-            classifier.add_rule(
-                ClassifierRule(TrafficClass.DNS, hardware=emu.offer, host=nsd.offer)
-            )
-            server.set_packet_handler(classifier.classify)
-        else:
-            # -- NIC-only replica: NSD answers everything, forever
-            server = make_i7_server(sim, name=host_spec.name)
-            card = None
-            nsd = SoftwareNsd(sim, server, zone=zone)
-            emu = None
-            classifier = None
-            server.set_packet_handler(nsd.offer)
-        topo.add(server)
-        self._connect(topo, host_spec.name)
-
-        # -- the host's slice of the query stream
-        client_name = host_spec.resolved_client_name()
-        client = DnsClient(
-            sim,
-            client_name,
-            server_name=server_name,
-            name_sampler=name_sampler,
-            rng=streams.get(f"{client_name}.arrivals"),
-        )
-        topo.add(client)
-        self._connect(topo, client_name)
-        client.set_rate(rate_pps)
-
-        # -- on-demand service + the host's chosen controller kind
-        service = OnDemandService(
-            sim,
-            host_spec.name,
-            classifier=classifier,
-            traffic_class=TrafficClass.DNS,
-            to_hardware=emu.enable if emu is not None else None,
-            to_software=(
-                (lambda emu=emu: emu.disable(power_save=host_spec.power_save))
-                if emu is not None
-                else None
-            ),
-            warmup_us=device.warmup_us,
-        )
-        controller = self._build_controller(
-            sim, "dns", host_spec, server, classifier, TrafficClass.DNS, service, device
-        )
-        if host_spec.start_in_hardware:
-            service.shift_to_hardware(
-                "spec: initial hardware placement", immediate=True
-            )
-
-        sampling = host_spec.sampling or spec.sampling
-        power_sampler = PeriodicSampler(
-            sim,
-            server.platform_power_w,
-            msec(sampling.power_interval_ms),
-            name=f"{host_spec.name}.rapl-power",
-        )
-        wall_sampler = PeriodicSampler(
-            sim,
-            server.wall_power_w,
-            msec(spec.sampling.power_interval_ms),
-            name=f"{host_spec.name}.wall-power",
-        )
-        return BuiltDnsHost(
-            spec=host_spec,
-            server=server,
-            card=card,
-            nsd=nsd,
-            emu=emu,
-            classifier=classifier,
-            service=service,
-            controller=controller,
-            client=client,
-            power_sampler=power_sampler,
-            wall_sampler=wall_sampler,
-            offered_pps=rate_pps,
+            offered_pps=traffic.rate_pps,
         )
 
     # -- Paxos groups ----------------------------------------------------------
@@ -1732,27 +1633,14 @@ class ScenarioBuilder:
             msec(self.spec.sampling.power_interval_ms),
             name=f"{sw_name}.power",
         )
-        # Every node the group owns is wall-sampled on the scenario cadence
-        # so the §9.4 sweep can attribute the rack's draw per group; the
-        # hardware leader card has no host CPU, its probe is the card
-        # itself.  Shared acceptor boxes are sampled once — both groups'
-        # maps point at the same sampler (it is one physical probe).
-        wall_interval_us = msec(self.spec.sampling.power_interval_ms)
-        wall_samplers = {}
-        for server in group_servers:
-            sampler = self._wall_sampler_cache.get(server.name)
-            if sampler is None:
-                sampler = PeriodicSampler(
-                    sim,
-                    server.wall_power_w,
-                    wall_interval_us,
-                    name=f"{server.name}.wall-power",
-                )
-                self._wall_sampler_cache[server.name] = sampler
-            wall_samplers[server.name] = sampler
-        wall_samplers[hw_name] = PeriodicSampler(
-            sim, hw_card.power_w, wall_interval_us, name=f"{hw_name}.wall-power"
-        )
+        # Every node the group owns is wall-sampled so the §9.4 sweep can
+        # attribute the rack's draw per group; the hardware leader card has
+        # no host CPU, its probe is the card itself.
+        wall_samplers = {
+            server.name: self._wall_sampler(sim, server.name, server.wall_power_w)
+            for server in group_servers
+        }
+        wall_samplers[hw_name] = self._wall_sampler(sim, hw_name, hw_card.power_w)
         return BuiltPaxosGroup(
             spec=px,
             deployment=deployment,

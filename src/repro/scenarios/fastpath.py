@@ -48,6 +48,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import calibration as cal
 from ..errors import ConfigurationError
+from ..floats import left_sum
 from ..hw.device import get_device
 from ..naming import rack_qualified, split_rack
 from ..steady import grid as steady_grid_kernels
@@ -553,16 +554,16 @@ def steady_grid(
         keys = layout.keys
         slot_hi = slot_lo + len(keys)
         spec_served = served[slot_lo:slot_hi]
-        achieved = sum(spec_served)
+        achieved = left_sum(spec_served)
         power_by_placement = dict(zip(keys, power[slot_lo:slot_hi]))
-        total_power = sum(power_by_placement.values())
-        p50 = sum(
+        total_power = left_sum(power_by_placement.values())
+        p50 = left_sum(
             map(operator.mul, spec_served, latency[slot_lo:slot_hi])
         ) / (achieved or 1.0)
         estimates.append(
             SteadyEstimate(
                 mode=mode,
-                offered_pps=sum(flat_rate[slot_lo:slot_hi]),
+                offered_pps=left_sum(flat_rate[slot_lo:slot_hi]),
                 achieved_pps=achieved,
                 total_power_w=total_power,
                 p50_latency_us=p50,

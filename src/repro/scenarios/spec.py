@@ -555,6 +555,17 @@ def _validate_host_device(host, app: str) -> None:
         )
 
 
+def _validate_workload(workload, owner: str) -> None:
+    """The numbers both workload kinds share, each check written so that
+    NaN fails it: a NaN rate or Zipf skew would otherwise validate and
+    then offer nothing, and a negative one would raise inside the build."""
+    if not workload.rate_kpps >= 0:
+        raise ConfigurationError(f"{owner} rate_kpps must be >= 0")
+    if not workload.zipf_s > 0:
+        raise ConfigurationError(f"{owner} zipf_s must be positive")
+    _validate_phases(workload.phases, owner)
+
+
 def _validate_phases(phases: PhaseSchedule, owner: str) -> None:
     last_at = -1.0
     for at_s, rate_kpps in phases:
@@ -688,7 +699,11 @@ class ScenarioSpec:
                 raise ConfigurationError(
                     f"scenario {self.name!r} declares a KVS workload but no hosts"
                 )
-            _validate_phases(self.kvs_workload.phases, "KVS workload")
+            _validate_workload(self.kvs_workload, "KVS workload")
+            if not self.kvs_workload.keyspace >= 1:
+                raise ConfigurationError(
+                    f"KVS workload keyspace must be >= 1 in {self.name!r}"
+                )
             self._validate_kvs_shards()
         for host in self.kvs_hosts:
             host.controller.validate_for("kvs", host.name)
@@ -770,7 +785,7 @@ class ScenarioSpec:
                 raise ConfigurationError(
                     f"scenario {self.name!r} declares a DNS workload but no hosts"
                 )
-            _validate_phases(self.dns_workload.phases, "DNS workload")
+            _validate_workload(self.dns_workload, "DNS workload")
             if not 0.0 <= self.dns_workload.miss_fraction < 1.0:
                 raise ConfigurationError(
                     f"DNS miss_fraction must be in [0, 1) in {self.name!r}"

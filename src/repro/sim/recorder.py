@@ -10,9 +10,9 @@ reductions (:func:`bucket_rate_series`, :func:`bucket_mean_series`) sort
 their input by time first — Timsort is linear on the time-ordered series
 every caller passes, and stable, so ties keep their input order — and
 then find each window's bounds by bisection on the same ``t // window_us``
-binning a per-sample pass would use.  Window means add their values left
-to right from ``0.0`` rather than through ``sum()``, which compensates on
-Python >= 3.12 and would change bits between interpreter versions.
+binning a per-sample pass would use.  Every mean adds its values with
+:func:`repro.floats.left_sum`, left to right, so the same run reduces to
+the same bits on every supported Python.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
+from ..floats import left_sum
 from ..units import SEC, to_seconds
 from .kernel import Simulator
 
@@ -146,7 +146,7 @@ class TimeSeries:
             values = self._values[lo:hi]
         if not len(values):
             raise ValueError(f"no samples in window for {self.name!r}")
-        return sum(values) / len(values)
+        return left_sum(values) / len(values)
 
     def integrate_seconds(self) -> float:
         """Trapezoidal integral of value over time, time in **seconds**.
@@ -213,7 +213,7 @@ class LatencyRecorder:
     def mean(self) -> float:
         if not self._samples:
             raise ValueError("no latency samples")
-        return sum(self._samples) / len(self._samples)
+        return left_sum(self._samples) / len(self._samples)
 
     def median(self) -> float:
         if not self._samples:
@@ -289,7 +289,7 @@ def bucket_mean_series(
     series: List[Tuple[float, Optional[float]]] = []
     for i, hi in enumerate(ends):
         if hi > lo:
-            mean = reduce(add, values[lo:hi], 0.0) / (hi - lo)
+            mean = left_sum(values[lo:hi]) / (hi - lo)
             series.append((i * window_us, mean))
         else:
             series.append((i * window_us, None))

@@ -1,8 +1,5 @@
 """Workload generators and trace models.
 
-* :mod:`repro.workloads.osnt` — OSNT-style rate-controlled offered load
-  (§4.1: "We used OSNT to send traffic, which enabled us to control data
-  rates at very fine granularities").
 * :mod:`repro.workloads.etc` — the Facebook "ETC" key-value workload [7]
   (Zipf key popularity, small values, high GET ratio) used by the Figure 6
   experiment.
@@ -16,7 +13,6 @@
   the §9.3 offload-candidate analysis.
 """
 
-from .osnt import RateSchedule, RampSchedule, StepSchedule
 from .etc import EtcWorkload, EtcShardStream, ShardedEtcWorkload
 from .dns import DnsNameWorkload, DnsShardStream, ShardedDnsWorkload
 from .colocated import ChainerMNWorkload
@@ -27,19 +23,8 @@ from .google_trace import (
     Task,
     analyze_offload_candidates,
 )
-from .replay import (
-    ReplayResult,
-    compare_policies,
-    predictive_policy,
-    replay_trace,
-    static_policy,
-    threshold_policy,
-)
 
 __all__ = [
-    "RateSchedule",
-    "RampSchedule",
-    "StepSchedule",
     "EtcWorkload",
     "EtcShardStream",
     "ShardedEtcWorkload",
@@ -54,10 +39,4 @@ __all__ = [
     "GoogleTraceAnalysis",
     "Task",
     "analyze_offload_candidates",
-    "ReplayResult",
-    "compare_policies",
-    "predictive_policy",
-    "replay_trace",
-    "static_policy",
-    "threshold_policy",
 ]

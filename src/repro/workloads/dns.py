@@ -18,6 +18,7 @@ from typing import List
 
 from ..apps.dns.message import ARecord
 from ..errors import ConfigurationError
+from ..floats import left_sum
 from ..net.classifier import key_shard
 from .etc import ZipfSampler
 
@@ -137,7 +138,7 @@ class ShardedDnsWorkload(DnsNameWorkload):
         for rank in range(1, self.n_names + 1):
             p = rank ** (-self.zipf_s)
             weights[self.shard_of(self.name_of_rank(rank))] += p
-        total = sum(weights)
+        total = left_sum(weights)
         return [w / total for w in weights]
 
     def stream(self, shard: int) -> DnsShardStream:

@@ -19,6 +19,7 @@ import random
 from typing import Callable, List
 
 from ..errors import ConfigurationError
+from ..floats import left_sum
 from ..net.classifier import key_shard
 
 
@@ -291,7 +292,7 @@ class ShardedEtcWorkload:
         for rank in range(1, min(self.keyspace, max_rank) + 1):
             p = rank ** (-self.zipf_s)
             weights[key_shard(f"key:{rank:08d}", self.n_shards)] += p
-        total = sum(weights)
+        total = left_sum(weights)
         return [w / total for w in weights]
 
     # -- per-shard streams ---------------------------------------------------

@@ -47,6 +47,44 @@ SWEEP_FABRIC_PARAMS = dict(
     duration_s=0.05,
 )
 
+#: Full-precision results of every KVS/DNS host shape the scenario builder
+#: wires, which the rendered goldens above (rounded to 0.1, KVS-only) never
+#: show: a NIC-only DNS replica, per-host sampling, a hardware start, a
+#: non-default card, a heterogeneous rack, a consolidated fabric under the
+#: centralized controller and the Figure 6 co-located job.  Captured before
+#: the KVS and DNS host paths of the builder were merged into one, so it
+#: pins the behaviour of both old paths.  Each case is
+#: ``(registered scenario, builder overrides, {host: spec edits})``; an
+#: edit's ``device``/``controller`` name a kind and ``sampling`` is a
+#: ``(power_interval_ms, bucket_ms)`` pair.
+SCENARIO_RESULTS_PARAMS = dict(
+    cases=(
+        (
+            "rack-mixed",
+            dict(duration_s=0.4),
+            {
+                "kvs1": dict(sampling=(20.0, 100.0)),
+                "dns1": dict(
+                    device="none", controller="none", sampling=(25.0, 100.0)
+                ),
+            },
+        ),
+        (
+            "rack-mixed",
+            dict(duration_s=0.3, n_paxos_groups=1),
+            {"dns1": dict(start_in_hardware=True)},
+        ),
+        ("rack-mixed", dict(duration_s=0.3), {"dns0": dict(device="asic-nic")}),
+        ("rack-hetero", dict(duration_s=0.2), {}),
+        ("fabric-kvs-crossrack", dict(duration_s=0.3), {}),
+        (
+            "fig6-kvs-transition",
+            dict(duration_s=1.0, chainer_start_s=0.3, chainer_stop_s=0.8),
+            {},
+        ),
+    ),
+)
+
 GOLDENS = {
     "fig6_kvs_transition.txt": ("fig6", FIG6_PARAMS),
     "fig7_paxos_transition.txt": ("fig7", FIG7_PARAMS),
@@ -56,7 +94,37 @@ GOLDENS = {
         "sweep-fabric-aggregates",
         SWEEP_FABRIC_PARAMS,
     ),
+    "scenario_results.txt": ("scenario-results", SCENARIO_RESULTS_PARAMS),
 }
+
+
+def _edited_spec(name: str, overrides: dict, edits: dict):
+    """A registered scenario with per-host field edits applied."""
+    import dataclasses
+
+    from repro.scenarios import (
+        ControllerSpec,
+        DeviceSpec,
+        SamplingSpec,
+        build_spec,
+    )
+
+    def edit(host):
+        fields = dict(edits.get(host.name, {}))
+        if "device" in fields:
+            fields["device"] = DeviceSpec(kind=fields["device"])
+        if "controller" in fields:
+            fields["controller"] = ControllerSpec(kind=fields["controller"])
+        if "sampling" in fields:
+            fields["sampling"] = SamplingSpec(*fields["sampling"])
+        return dataclasses.replace(host, **fields)
+
+    spec = build_spec(name, **overrides)
+    return dataclasses.replace(
+        spec,
+        kvs_hosts=tuple(edit(h) for h in spec.kvs_hosts),
+        dns_hosts=tuple(edit(h) for h in spec.dns_hosts),
+    )
 
 
 def generate(kind: str, params: dict) -> str:
@@ -69,6 +137,19 @@ def generate(kind: str, params: dict) -> str:
         from repro.experiments import run_figure7
 
         return run_figure7(**params).render()
+    if kind == "scenario-results":
+        # The executed event count, then the full-precision repr of every
+        # host, group and aggregate series the run collected.
+        from repro.scenarios import ScenarioBuilder
+
+        lines = []
+        for name, overrides, edits in params["cases"]:
+            run = ScenarioBuilder(_edited_spec(name, overrides, edits)).build()
+            result = run.execute()
+            lines.append(f"{name} {overrides!r} {edits!r}")
+            lines.append(f"  events: {run.sim.events_executed}")
+            lines.append(f"  {result!r}")
+        return "\n".join(lines) + "\n"
     from repro.scenarios import build_sweep_spec, run_sweep
 
     if kind == "sweep-fabric-aggregates":

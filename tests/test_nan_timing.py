@@ -12,11 +12,16 @@ import dataclasses
 
 import pytest
 
+from repro.apps.dns import DnsClient
+from repro.apps.kvs import KvsClient
+from repro.apps.paxos import PaxosClient
 from repro.errors import ConfigurationError, SimulationError
 from repro.net import Link
 from repro.net.node import SinkNode
 from repro.scenarios import (
     NO_CONTROLLER,
+    DnsHostSpec,
+    DnsWorkloadSpec,
     FabricSpec,
     KvsHostSpec,
     KvsWorkloadSpec,
@@ -41,6 +46,21 @@ def _kvs_spec(**overrides) -> ScenarioSpec:
     )
     base.update(overrides)
     return ScenarioSpec(**base)
+
+
+def _dns_spec(**workload) -> ScenarioSpec:
+    return ScenarioSpec(
+        name="t",
+        duration_s=0.1,
+        dns_hosts=(DnsHostSpec(name="dns0", controller=NO_CONTROLLER),),
+        dns_workload=DnsWorkloadSpec(**{"n_names": 100, "rate_kpps": 2.0, **workload}),
+    )
+
+
+def _kvs_workload_spec(**workload) -> ScenarioSpec:
+    return _kvs_spec(
+        kvs_workload=KvsWorkloadSpec(**{"keyspace": 500, "rate_kpps": 2.0, **workload})
+    )
 
 
 def _uplink_spec(**uplink) -> ScenarioSpec:
@@ -83,6 +103,11 @@ def _uplink_spec(**uplink) -> ScenarioSpec:
             ),
             "before t=0",
         ),
+        (lambda: _kvs_workload_spec(rate_kpps=NAN), "rate_kpps"),
+        (lambda: _kvs_workload_spec(zipf_s=NAN), "zipf_s"),
+        (lambda: _kvs_workload_spec(keyspace=NAN), "keyspace"),
+        (lambda: _dns_spec(rate_kpps=NAN), "rate_kpps"),
+        (lambda: _dns_spec(zipf_s=NAN), "zipf_s"),
     ],
     ids=[
         "duration_s",
@@ -94,11 +119,62 @@ def _uplink_spec(**uplink) -> ScenarioSpec:
         "phase-time",
         "phase-rate",
         "paxos-shift-time",
+        "kvs-rate",
+        "kvs-zipf",
+        "kvs-keyspace",
+        "dns-rate",
+        "dns-zipf",
     ],
 )
 def test_validate_rejects_nan(make, match):
     with pytest.raises(ConfigurationError, match=match):
         make().validate()
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: _kvs_workload_spec(rate_kpps=-5.0), "rate_kpps"),
+        (lambda: _kvs_workload_spec(zipf_s=-1.0), "zipf_s"),
+        (lambda: _kvs_workload_spec(zipf_s=0.0), "zipf_s"),
+        (lambda: _kvs_workload_spec(keyspace=0), "keyspace"),
+        (lambda: _kvs_workload_spec(keyspace=-3), "keyspace"),
+        (lambda: _dns_spec(rate_kpps=-3.0), "rate_kpps"),
+        (lambda: _dns_spec(zipf_s=-1.0), "zipf_s"),
+        (lambda: _dns_spec(zipf_s=0.0), "zipf_s"),
+    ],
+    ids=[
+        "kvs-rate-negative",
+        "kvs-zipf-negative",
+        "kvs-zipf-zero",
+        "kvs-keyspace-zero",
+        "kvs-keyspace-negative",
+        "dns-rate-negative",
+        "dns-zipf-negative",
+        "dns-zipf-zero",
+    ],
+)
+def test_validate_rejects_negative_and_zero_workload_numbers(make, match):
+    """Workload numbers out of range fail at ``validate()``, not as a
+    client or sampler error deep inside the build."""
+    with pytest.raises(ConfigurationError, match=match):
+        make().validate()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda sim: KvsClient(sim, "c", "s", key_sampler=str, value_sampler=bytes),
+        lambda sim: DnsClient(sim, "c", "s", name_sampler=str),
+        lambda sim: PaxosClient(sim, "c"),
+    ],
+    ids=["kvs", "dns", "paxos"],
+)
+def test_client_set_rate_rejects_nan(make):
+    sim = Simulator()
+    with pytest.raises(ConfigurationError, match="rate must be >= 0"):
+        make(sim).set_rate(NAN)
+    assert sim.pending == 0
 
 
 @pytest.mark.parametrize(

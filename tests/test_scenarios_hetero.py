@@ -127,7 +127,7 @@ class TestNicOnlyHost:
         run = ScenarioBuilder(spec).build()
         host = run.kvs_hosts[0]
         assert host.card is None
-        assert host.lake is None
+        assert host.hardware is None
         assert host.classifier is None
         assert host.server.nic is not None  # the NIC stays in
         result = run.execute()

@@ -7,9 +7,12 @@ import pytest
 
 from repro.net.packet import TrafficClass
 from repro.scenarios import (
+    NO_CONTROLLER,
     ControllerSpec,
     DnsHostSpec,
     DnsWorkloadSpec,
+    KvsHostSpec,
+    KvsWorkloadSpec,
     PaxosSpec,
     SamplingSpec,
     ScenarioBuilder,
@@ -113,14 +116,14 @@ class TestAnycastDns:
         # the per-shard client streams only generate names the qname hash
         # routes to their host, so nothing is cross-routed
         for index, host in enumerate(run.dns_hosts):
-            assert host.nsd.rx + host.emu.rx > 0
+            assert host.software.rx + host.hardware.rx > 0
         assert run.dns_router.keyless == 0
 
     def test_replicas_answer_authoritatively_for_the_whole_zone(self):
         run = ScenarioBuilder(_dns_rack_spec()).build()
         for host in run.dns_hosts:
-            assert len(host.nsd.zone) == 300
-            assert len(host.emu.zone) == 300
+            assert len(host.software.zone) == 300
+            assert len(host.hardware.zone) == 300
         result = run.execute()
         for host in result.dns_hosts:
             assert host.responses > 0
@@ -229,3 +232,37 @@ class TestSamplingOverrides:
         )
         host_buckets = [t for t, _ in result.hosts[0].throughput_series]
         assert host_buckets[1] - host_buckets[0] == pytest.approx(msec(250.0))
+
+
+# ---------------------------------------------------------------------------
+# The one host path: per-host values bound per host.
+# ---------------------------------------------------------------------------
+
+
+def test_shift_back_keeps_each_hosts_own_power_save():
+    """Every host of a rack is wired by the same code, so its shift-back
+    hook must carry that host's own ``power_save``: after a round trip to
+    hardware only the power-saving cards sit in their low-power state."""
+    spec = ScenarioSpec(
+        name="power-save",
+        duration_s=0.01,
+        kvs_hosts=(
+            KvsHostSpec(name="k0", power_save=True, controller=NO_CONTROLLER),
+            KvsHostSpec(name="k1", power_save=False, controller=NO_CONTROLLER),
+        ),
+        kvs_workload=KvsWorkloadSpec(keyspace=500, rate_kpps=2.0),
+        dns_hosts=(
+            DnsHostSpec(name="d0", power_save=False, controller=NO_CONTROLLER),
+            DnsHostSpec(name="d1", power_save=True, controller=NO_CONTROLLER),
+        ),
+        dns_workload=DnsWorkloadSpec(n_names=100, rate_kpps=2.0),
+    )
+    run = ScenarioBuilder(spec).build()
+    hosts = {host.spec.name: host for host in (*run.kvs_hosts, *run.dns_hosts)}
+    idle_w = {}
+    for name, host in hosts.items():
+        host.service.shift_to_hardware("test", immediate=True)
+        host.service.shift_to_software("test")
+        idle_w[name] = host.card.power_w()
+    assert idle_w["k0"] < idle_w["k1"]
+    assert idle_w["d1"] < idle_w["d0"]

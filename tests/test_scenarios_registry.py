@@ -189,6 +189,6 @@ class TestBuilder:
         )
         run = ScenarioBuilder(spec).build()
         for index, host in enumerate(run.kvs_hosts):
-            keys = list(host.memcached.store.keys())
+            keys = list(host.software.store.keys())
             assert keys
             assert all(key_shard(k, len(run.kvs_hosts)) == index for k in keys)

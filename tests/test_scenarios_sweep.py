@@ -170,6 +170,22 @@ class TestAttributePower:
         assert attribution == {"px0": 30.0, "px1": 20.0}
         assert sum(attribution.values()) == pytest.approx(total)
 
+    def test_totals_add_left_to_right(self):
+        """Every total is a left-to-right fold, the same bits on every
+        Python: a compensated sum (``sum()`` on 3.12) would give the mean
+        and the total 1/3 here, and the busy total 1 + 2**-52."""
+        attribution, total = attribute_power(
+            {"a": [1e16, 1.0, -1e16]}, {"a": ("p",)}
+        )
+        assert attribution == {"p": 0.0}
+        assert total == 0.0
+        attribution, _ = attribute_power(
+            {"a": [3.0]},
+            {"a": ("p", "q", "r")},
+            {"a": {"p": 1.0, "q": 1e-16, "r": 1e-16}},
+        )
+        assert attribution["p"] == 3.0
+
     def test_unclaimed_server_rejected(self):
         with pytest.raises(ConfigurationError, match="claimed by no placement"):
             attribute_power({"a": [1.0]}, {})

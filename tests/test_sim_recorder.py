@@ -1,5 +1,6 @@
 """Time series, latency recorder and percentile math."""
 
+import math
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.floats import left_sum
+from repro.scenarios import windowed_mean
 from repro.sim import LatencyRecorder, Simulator, TimeSeries, percentile
 from repro.sim.recorder import (
     PeriodicSampler,
@@ -115,6 +118,38 @@ class TestTimeSeries:
         ts.record(2.0, 20.0)
         assert ts.times == (1.0, 2.0)  # refreshed after an append
         assert ts.values == (10.0, 20.0)
+
+
+class TestLeftToRightTotals:
+    """Every mean adds its values left to right from 0.0, so a run reduces
+    to the same bits on every Python.  Each case below is one where a
+    compensated sum (``sum()`` on 3.12, ``math.fsum``) disagrees."""
+
+    CANCELLING = [1e16, 1.0, -1e16]  # left to right: 0.0; exact: 1.0
+
+    def test_left_sum(self):
+        assert left_sum(self.CANCELLING) == 0.0
+        assert math.fsum(self.CANCELLING) == 1.0
+        assert left_sum([]) == 0.0
+
+    def test_time_series_mean(self):
+        ts = TimeSeries()
+        for t, value in enumerate(self.CANCELLING):
+            ts.record(float(t), value)
+        assert ts.mean() == 0.0
+
+    def test_latency_recorder_mean(self):
+        rec = LatencyRecorder()
+        rec.extend([1.0, 1e-16, 1e-16])  # exact total: 1 + 2**-52
+        assert rec.mean() == 1.0 / 3
+
+    def test_bucket_mean_series(self):
+        samples = list(enumerate(self.CANCELLING))
+        assert bucket_mean_series(samples, 10.0, 10.0)[0] == (0.0, 0.0)
+
+    def test_windowed_mean(self):
+        series = list(enumerate(self.CANCELLING))
+        assert windowed_mean(series, 0.0, 10.0) == 0.0
 
 
 class TestLatencyRecorder:

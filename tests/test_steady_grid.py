@@ -2,8 +2,11 @@
 model, and byte-identity of :func:`steady_grid` against the scalar steady
 model kept here as an oracle."""
 
+import math
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from operator import add
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -48,6 +51,12 @@ ELIGIBLE_SWEEPS = ["sweep-rack-kvs", "sweep-rack-hetero", "sweep-fabric-scale"]
 #: capacity, plus zero rate, so the saturation branches of every kernel
 #: are exercised.
 _RATE = [0.0, 4_000.0, 38_000.0, 66_000.0, 250_000.0]
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """Add left to right from 0.0: the grid's per-spec fold, and what
+    ``sum()`` gives before Python 3.12 (3.12 compensates)."""
+    return reduce(add, values, 0.0)
 
 
 def _eligible_grid(name):
@@ -151,7 +160,7 @@ def scalar_steady_point(
                 )
     rates = _per_host_rates(spec)
     selected = [(spec.kvs_hosts[i], rates[i]) for i in host_indices]
-    total_offered = sum(rate for _, rate in selected)
+    total_offered = _left_sum(rate for _, rate in selected)
     fabric = spec.fabric
     if fabric is not None:
         uplink = _fabric_uplink_model(fabric)
@@ -180,17 +189,17 @@ def scalar_steady_point(
                     up_loads[host_rack],
                     down_loads[client_rack],
                 )
-                latency += sum(uplink.crossing_us(load) for load in directions)
+                latency += _left_sum(uplink.crossing_us(load) for load in directions)
                 served *= min(
                     uplink.throughput_factor(load) for load in directions
                 )
         achieved += served
         power_by_placement[key] = power_at(rate)
         latencies.append((served, latency))
-    total_power = sum(power_by_placement.values())
-    total_served = sum(share for share, _ in latencies) or 1.0
+    total_power = _left_sum(power_by_placement.values())
+    total_served = _left_sum(share for share, _ in latencies) or 1.0
     # the rack-level "median" of per-host flat medians: served-weighted
-    p50 = sum(share * lat for share, lat in latencies) / total_served
+    p50 = _left_sum(share * lat for share, lat in latencies) / total_served
     return SteadyEstimate(
         mode=mode,
         offered_pps=total_offered,
@@ -337,6 +346,29 @@ def test_steady_grid_subset_matches_steady_point(rate):
     assert indices == (1,) and residual is not None
     want = [scalar_steady_point(od, "software", host_indices=indices)]
     assert steady_grid([od], "software", indices) == want
+
+
+def test_steady_grid_totals_add_left_to_right():
+    """A spec's totals fold its hosts left to right, in host order.  On
+    this 8-host rack the per-host power, served rate and offered rate
+    each round differently under a compensated sum (``sum()`` on 3.12)."""
+    sweep = build_sweep_spec("sweep-rack-kvs")
+    spec = software_variant(
+        _materialize(sweep, {"n_hosts": 8, "rate_per_host_kpps": 16.0})
+    )
+    (est,) = steady_grid([spec], "software")
+    hosts = [
+        steady_grid([spec], "software", host_indices=[i])[0] for i in range(8)
+    ]
+    powers = list(est.power_by_placement.values())
+    served = [host.achieved_pps for host in hosts]
+    offered = [host.offered_pps for host in hosts]
+    for values in (powers, served, offered):
+        assert math.fsum(values) != _left_sum(values)  # the orders differ
+    assert est.total_power_w == _left_sum(powers)
+    assert est.achieved_pps == _left_sum(served)
+    assert est.offered_pps == _left_sum(offered)
+    assert est == scalar_steady_point(spec, "software")
 
 
 def test_steady_grid_rejects_unknown_mode():

@@ -1,5 +1,7 @@
 """DNS query workloads: Zipf names, qname-hash split, deterministic streams."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -40,6 +42,19 @@ class TestDnsNameWorkload:
 
 
 class TestShardedDnsWorkload:
+    def test_shard_weights_normalize_by_a_left_to_right_total(self):
+        """As for ETC: with 6 shards of an 800-name zone a compensated sum
+        (``sum()`` on 3.12) rounds the total differently."""
+        sharded = ShardedDnsWorkload(n_names=800, n_shards=6, seed=23)
+        raw = [0.0] * 6
+        for rank in range(1, 801):
+            raw[sharded.shard_of(sharded.name_of_rank(rank))] += rank ** -0.99
+        total = 0.0
+        for weight in raw:
+            total += weight
+        assert math.fsum(raw) != total  # the two orders differ here
+        assert sharded.shard_weights() == [w / total for w in raw]
+
     def test_streams_generate_only_their_shard(self):
         sharded = ShardedDnsWorkload(n_names=200, n_shards=3, seed=9)
         for shard in range(3):

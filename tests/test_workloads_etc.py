@@ -1,5 +1,6 @@
 """Facebook ETC workload model."""
 
+import math
 import random
 from collections import Counter
 
@@ -87,6 +88,23 @@ class TestEtcWorkload:
 
 
 class TestShardedEtcWorkload:
+    def test_shard_weights_normalize_by_a_left_to_right_total(self):
+        """The rack split's total adds left to right: with 8 shards of a
+        20,000-key space a compensated sum (``sum()`` on 3.12) rounds the
+        total differently and moves every per-host rate."""
+        from repro.net.classifier import key_shard
+        from repro.workloads import ShardedEtcWorkload
+
+        raw = [0.0] * 8
+        for rank in range(1, 20_001):
+            raw[key_shard(f"key:{rank:08d}", 8)] += rank ** -0.99
+        total = 0.0
+        for weight in raw:
+            total += weight
+        assert math.fsum(raw) != total  # the two orders differ here
+        sharded = ShardedEtcWorkload(keyspace=20_000, n_shards=8, seed=23)
+        assert sharded.shard_weights() == [w / total for w in raw]
+
     def test_stream_keys_stay_in_shard(self):
         from repro.workloads import ShardedEtcWorkload
 
