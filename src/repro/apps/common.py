@@ -93,9 +93,7 @@ class SoftwareService:
         self._busy = False
         self.served = 0
         self.rx = 0
-        self._util_timer = sim.call_every(
-            util_window_us, self._update_cpu_load, name=f"{app_name}.util"
-        )
+        self._util_timer = sim.call_every(util_window_us, self._update_cpu_load)
         # start with zero load registered so the controller sees the app
         server.cpu.set_load(app_name, cores, 0.0)
 
@@ -205,9 +203,7 @@ class HardwareService:
         self.dropped_overload = 0
         self._window_count = 0
         self._window_us = util_window_us
-        self._util_timer = sim.call_every(
-            util_window_us, self._update_utilization, name=f"{app_name}.hw-util"
-        )
+        self._util_timer = sim.call_every(util_window_us, self._update_utilization)
 
     def offer(self, packet: Packet) -> None:
         """Entry point from the classifier's hardware path."""

@@ -75,8 +75,9 @@ class PaxosClient(Node):
         if rate_pps > 0:
             interval = SEC / rate_pps
             jitter = 0.3 if self._rng is not None else 0.0
-            # hot path: Event-free periodic loop (same ticks, same draws)
-            self._send_timer = self.sim.call_every_fast(
+            # hot path: one fast-tier tick per request; the cancel above
+            # leaves the old loop's next tick as a no-op
+            self._send_timer = self.sim.call_every(
                 interval, self._submit_new, jitter=jitter, rng=self._rng
             )
 

@@ -154,9 +154,7 @@ class FabricController(ShiftController):
         #: stayed there — the §9.1 "sustained" requirement per host.
         self._hot_since: Dict[str, float] = {}
         self._started_at = sim.now
-        self._timer = sim.call_every(
-            self.config.tick_us, self._tick, name="fabricctl.tick"
-        )
+        self._timer = sim.call_every(self.config.tick_us, self._tick)
 
     # -- introspection -----------------------------------------------------
 

@@ -963,22 +963,18 @@ class ScenarioBuilder:
 
     # -- shared plumbing -----------------------------------------------------
 
-    def _connect(
-        self, topo: Topology, node_name: str, rack: Optional[str] = None
-    ) -> None:
+    def _connect(self, topo: Topology, node_name: str) -> None:
         """Attach a node to the scenario's switching layer.
 
         Single-switch scenarios wire to the one ToR; fabric scenarios wire
-        to the rack's ToR (the rack prefix of an already-qualified name
-        wins, otherwise ``rack``, otherwise the fabric default).
+        to the ToR of the rack that prefixes the name (see
+        :meth:`_qualified`), or to the fabric's default rack for a name
+        without a rack prefix.
         """
         if self._fabric is not None:
             name_rack = split_rack(node_name)[0]
-            target_rack = (
-                name_rack or rack or self.spec.fabric.default_rack
-            )
             self._fabric.connect_host(
-                target_rack,
+                name_rack or self.spec.fabric.default_rack,
                 topo.node(node_name),
                 latency_us=self.spec.switch.latency_us,
                 bandwidth_bps=gbit_per_s(self.spec.switch.bandwidth_gbps),

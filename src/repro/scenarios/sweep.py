@@ -797,7 +797,9 @@ def _registry_changed() -> bool:
 def _get_pool(workers: int):
     """The shared pool, created on first use and reused while the worker
     count and the scenario registry stay the same.  Its workers fork on
-    the first dispatch."""
+    the first dispatch, from the caller's thread: call ``workers > 1``
+    sweeps from a single-threaded process, since a fork taken while other
+    threads run may deadlock the child."""
     from concurrent.futures import ProcessPoolExecutor
 
     global _POOL, _POOL_SIZE, _POOL_REGISTRY

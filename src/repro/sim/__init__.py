@@ -1,12 +1,12 @@
 """Discrete-event simulation kernel.
 
 The kernel is deliberately small: an event heap, a clock in microseconds,
-callback scheduling, and optional generator-based processes.  Everything in
-the network/host/hardware substrates builds on :class:`Simulator`.
+and callback scheduling on two tiers (cancellable events and fast calls,
+which also carry every periodic loop).  Everything in the
+network/host/hardware substrates builds on :class:`Simulator`.
 """
 
 from .kernel import Event, Simulator
-from .process import Process
 from .queues import FifoQueue, QueueStats
 from .recorder import (
     LatencyRecorder,
@@ -22,7 +22,6 @@ from .rng import RngStreams
 __all__ = [
     "Event",
     "Simulator",
-    "Process",
     "FifoQueue",
     "QueueStats",
     "LatencyRecorder",

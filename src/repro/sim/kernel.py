@@ -1,23 +1,23 @@
 """Event-driven simulator core.
 
-Time is a float in **microseconds** (see :mod:`repro.units`).  Events are
-callbacks ordered by (time, sequence), so same-time events run in the order
+Time is a float in **microseconds** (see :mod:`repro.units`).  Callbacks
+are ordered by (time, sequence), so same-time callbacks run in the order
 they were scheduled — a property several protocol tests rely on.
 
 Every pending callback lives in one binary heap, and two scheduling tiers
 share its total order:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
-  cancellable, named :class:`Event` — the observable API.
-* :meth:`Simulator.schedule_fast` / :meth:`Simulator.schedule_call` are the
-  hot-path tier used by services and load generators: no Event object, no
-  name string, no cancellation.
+  cancellable, named :class:`Event` — the observable API, kept for
+  one-shot callbacks and protocol timeouts that may be cancelled.
+* :meth:`Simulator.schedule_call` is the hot-path tier used by services,
+  links and every periodic loop: no Event object, no name string, no
+  cancellation.
 
-Heap entries are tuples, compared at C speed::
+Heap entries are tuples of two layouts, compared at C speed::
 
     (time, seq, event)      # cancellable tier: runs event.callback()
-    (time, seq, fn)         # schedule_fast: runs fn()
-    (time, seq, fn, arg)    # schedule_call: runs fn(arg)
+    (time, seq, fn, arg)    # fast tier: runs fn(arg)
 
 ``seq`` is drawn from the simulator's one counter (``Simulator._seq``), so
 it is unique, the comparison never reaches the payload, and entries of
@@ -27,15 +27,22 @@ fault-free send variants push ``(time, seq, dst.receive, packet)`` entries
 straight onto ``Simulator._heap``, with ``seq`` from the same counter, so
 a link delivery orders exactly like a :meth:`Simulator.schedule_call`.
 
-Cancellation is lazy: a cancelled Event's entry stays queued until the
-run loop reaches and purges it.  :attr:`Simulator.pending` is therefore
-the heap's length minus the cancelled entries still in it.
+:meth:`Simulator.call_every` runs a periodic loop on the fast tier, one
+``schedule_call`` entry per tick.  Its handle cannot reach into the heap:
+cancelling it leaves the next tick queued as a no-op, which still counts
+in :attr:`Simulator.pending` and, once the clock reaches it, in
+:attr:`Simulator.events_executed`.
+
+Event cancellation is lazy: a cancelled Event's entry stays queued until
+the run loop reaches and purges it.  :attr:`Simulator.pending` is
+therefore the heap's length minus the cancelled Events still in it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable, List, Optional
 
 from ..errors import SimulationError
@@ -48,18 +55,16 @@ class Event:
     Cancellation is lazy: the heap entry stays, but the callback is skipped.
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "name", "_sim", "_done")
+    __slots__ = ("time", "callback", "cancelled", "name", "_sim", "_done")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         callback: Callable[[], None],
         name: str,
-        sim: Optional["Simulator"] = None,
+        sim: "Simulator",
     ):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
         self.name = name
@@ -72,11 +77,7 @@ class Event:
         if self.cancelled or self._done:
             return
         self.cancelled = True
-        if self._sim is not None:
-            self._sim._cancelled += 1
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        self._sim._cancelled += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -95,13 +96,11 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        #: the event queue; see the module docstring for the entry layout
+        #: the event queue; see the module docstring for the entry layouts
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self._running = False
         self._executed = 0
-        #: Event objects re-armed via :meth:`reschedule` (pool hit count).
-        self._reused = 0
         #: cancelled Events whose entries are still in the heap
         self._cancelled = 0
 
@@ -116,11 +115,6 @@ class Simulator:
     def events_executed(self) -> int:
         """Number of callbacks executed so far (observability/testing)."""
         return self._executed
-
-    @property
-    def events_reused(self) -> int:
-        """Number of pooled Event re-arms (observability/testing)."""
-        return self._reused
 
     @property
     def pending(self) -> int:
@@ -140,10 +134,7 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""
         if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        event = Event(time, next(self._seq), callback, name, sim=self)
-        heapq.heappush(self._heap, (time, event.seq, event))
-        return event
+        return self.schedule_at(self._now + delay, callback, name)
 
     def schedule_at(
         self, time: float, callback: Callable[[], None], name: str = "event"
@@ -153,26 +144,18 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
-        event = Event(time, next(self._seq), callback, name, sim=self)
-        heapq.heappush(self._heap, (time, event.seq, event))
+        event = Event(time, callback, name, self)
+        heapq.heappush(self._heap, (time, next(self._seq), event))
         return event
 
-    def schedule_fast(self, delay: float, callback: Callable[[], None]) -> None:
-        """Hot-path scheduling: no Event object, no name, not cancellable.
+    def schedule_call(self, delay: float, callback, arg) -> None:
+        """Hot-path scheduling: invokes ``callback(arg)`` ``delay``
+        microseconds from now; no Event object, no name, not cancellable.
 
         Orders identically to :meth:`schedule` (same sequence counter);
-        use for high-volume machinery (packet deliveries, service
-        completions) where the Event API's observability costs real time.
-        """
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._heap, (self._now + delay, next(self._seq), callback))
-
-    def schedule_call(self, delay: float, callback, arg) -> None:
-        """Like :meth:`schedule_fast` but invokes ``callback(arg)``.
-
-        Saves the per-call closure/partial allocation of binding ``arg``:
-        the argument rides in the heap entry itself.
+        use for high-volume machinery (service completions, timers) where
+        the Event API's observability costs real time.  The argument rides
+        in the heap entry itself, which saves binding it in a closure.
         """
         if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -180,37 +163,10 @@ class Simulator:
             self._heap, (self._now + delay, next(self._seq), callback, arg)
         )
 
-    def reschedule(self, event: Event, delay: float) -> Event:
-        """Re-arm an **executed** :class:`Event` ``delay`` microseconds from
-        now, reusing the object instead of allocating a fresh one.
-
-        This is the event-object pool for the cancellable tier: a periodic
-        loop keeps one Event alive for its whole lifetime (see
-        :meth:`call_every`), so ``call_every``-heavy controller racks stop
-        churning allocations.  Only legal once the event has fired — its
-        queue entry has been popped, so re-pushing the same object cannot
-        leave a stale duplicate behind.  The event draws a fresh sequence
-        number from the shared counter, so ordering semantics are exactly
-        those of a newly-scheduled event.
-        """
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if not event._done or event.cancelled:
-            raise SimulationError(
-                "reschedule requires an executed, uncancelled event"
-            )
-        event.time = self._now + delay
-        event.seq = next(self._seq)
-        event._done = False
-        heapq.heappush(self._heap, (event.time, event.seq, event))
-        self._reused += 1
-        return event
-
     def call_every(
         self,
         interval: float,
         callback: Callable[[], None],
-        name: str = "periodic",
         jitter: float = 0.0,
         rng=None,
     ) -> "PeriodicHandle":
@@ -219,18 +175,28 @@ class Simulator:
         ``jitter`` (a fraction of the interval) requires ``rng`` and spreads
         firings uniformly in ``interval * (1 ± jitter)``.
 
-        The loop allocates **one** Event for its whole lifetime: each tick
-        re-arms it via :meth:`reschedule` (the entry just popped belongs to
-        the event now firing, so reuse is safe), keeping the handle fully
-        cancellable without a per-tick allocation.
+        Each tick is one fast-tier entry.  The first, after an un-jittered
+        ``interval``, takes its ``seq`` here; every later one takes it
+        after ``callback()`` and then the jitter draw, so a callback that
+        draws from the same ``rng`` draws first.  Tick times, same-time
+        order and RNG draw order follow from that alone.
+
+        Cancelling the handle leaves the next tick queued as a no-op that
+        counts in :attr:`pending` and, if the clock reaches it, in
+        :attr:`events_executed`.  Scenario event counts include such ticks
+        only from the open-loop clients, which cancel their loop on every
+        ``set_rate``: ``ScenarioRun.execute`` stops its controllers and gap
+        scanners after its last ``run_until`` returns, and no scenario
+        stops a service, RAPL reader or sampler.
         """
         if not interval > 0:
             raise SimulationError(f"interval must be positive, got {interval}")
         if jitter and rng is None:
             raise SimulationError("jitter requires an rng")
         handle = PeriodicHandle()
+        schedule_call = self.schedule_call
 
-        def fire() -> None:
+        def fire(_arg) -> None:
             if handle.cancelled:
                 return
             callback()
@@ -239,77 +205,12 @@ class Simulator:
             delay = interval
             if jitter:
                 delay *= 1.0 + rng.uniform(-jitter, jitter)
-            handle.event = self.reschedule(handle.event, delay)
+            schedule_call(delay, fire, None)
 
-        handle.event = self.schedule(interval, fire, name)
-        return handle
-
-    def call_every_fast(
-        self,
-        interval: float,
-        callback: Callable[[], None],
-        jitter: float = 0.0,
-        rng=None,
-    ) -> "FastPeriodicHandle":
-        """:meth:`call_every` without the per-tick Event allocation.
-
-        Semantics are tick-for-tick identical — first firing after an
-        un-jittered ``interval``, then ``callback()`` *before* the jitter
-        draw, so RNG draw order matches ``call_every`` exactly (the
-        byte-identity of recorded experiments depends on this).  The only
-        difference: cancellation leaves the already-scheduled next tick in
-        the queue as a no-op instead of cancelling it.  Use for high-rate
-        loops (open-loop load generators); keep ``call_every`` where the
-        handle's pending event must be observable/cancellable.
-        """
-        if not interval > 0:
-            raise SimulationError(f"interval must be positive, got {interval}")
-        if jitter and rng is None:
-            raise SimulationError("jitter requires an rng")
-        handle = FastPeriodicHandle()
-        schedule_fast = self.schedule_fast
-
-        def fire() -> None:
-            if handle.cancelled:
-                return
-            callback()
-            if handle.cancelled:  # callback may cancel the loop
-                return
-            delay = interval
-            if jitter:
-                delay *= 1.0 + rng.uniform(-jitter, jitter)
-            schedule_fast(delay, fire)
-
-        schedule_fast(interval, fire)
+        schedule_call(interval, fire, None)
         return handle
 
     # -- running -------------------------------------------------------
-
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False if none remain."""
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            payload = entry[2]
-            if payload.__class__ is Event:
-                if payload.cancelled:
-                    self._cancelled -= 1
-                    continue
-                payload._done = True
-                callback = payload.callback
-            else:
-                callback = payload
-            time = entry[0]
-            if time < self._now:
-                raise SimulationError("event heap corrupted: time went backwards")
-            self._now = time
-            self._executed += 1
-            if len(entry) == 4:
-                callback(entry[3])
-            else:
-                callback()
-            return True
-        return False
 
     def run_until(self, time: float, max_events: Optional[int] = None) -> None:
         """Run events until the clock reaches ``time`` (inclusive of events
@@ -336,39 +237,52 @@ class Simulator:
         finally:
             self._running = False
 
+    def run(self, max_events: int = 10_000_000) -> None:
+        """Run until the event heap is empty (bounded by ``max_events``).
+
+        Unlike :meth:`run_until`, the clock stays at the last executed
+        callback.
+        """
+        if self._running:
+            raise SimulationError("run is not re-entrant")
+        self._running = True
+        try:
+            self._run_budgeted(math.inf, max_events)
+        finally:
+            self._running = False
+
     def _run_until(self, time: float) -> None:
-        """The hot loop: local aliases, tuple entries, no step() call and
-        no budget test."""
+        """The hot loop: local aliases, the fast tier's layout tested
+        first, no budget test."""
         heap = self._heap
         pop = heapq.heappop
-        event_class = Event
         while heap:
             entry = heap[0]
             if entry[0] > time:
                 break
             pop(heap)
-            payload = entry[2]
-            if payload.__class__ is event_class:
-                if payload.cancelled:
-                    self._cancelled -= 1
-                    continue
-                payload._done = True
-                payload = payload.callback
+            if len(entry) == 4:
+                self._now = entry[0]
+                self._executed += 1
+                entry[2](entry[3])
+                continue
+            event = entry[2]
+            if event.cancelled:
+                self._cancelled -= 1
+                continue
+            event._done = True
             self._now = entry[0]
             self._executed += 1
-            if len(entry) == 4:
-                payload(entry[3])
-            else:
-                payload()
+            event.callback()
 
     def _run_budgeted(self, time: float, max_events: int) -> None:
-        """:meth:`run_until` under a ``max_events`` budget."""
+        """:meth:`run_until` under a ``max_events`` budget, and :meth:`run`
+        (``time`` is ``math.inf``)."""
         heap = self._heap
         budget = max_events
         while heap:
             entry = heap[0]
-            payload = entry[2]
-            if payload.__class__ is Event and payload.cancelled:
+            if len(entry) == 3 and entry[2].cancelled:
                 # Purge without charging the budget: only executed
                 # callbacks count against max_events.
                 heapq.heappop(heap)
@@ -381,40 +295,20 @@ class Simulator:
                     f"exceeded max_events={max_events} before t={time}"
                 )
             budget -= 1
-            self.step()
-
-    def run(self, max_events: int = 10_000_000) -> None:
-        """Run until the event heap is empty (bounded by ``max_events``)."""
-        if self._running:
-            raise SimulationError("run is not re-entrant")
-        self._running = True
-        try:
-            for _ in range(max_events):
-                if not self.step():
-                    return
-            raise SimulationError(f"exceeded max_events={max_events}")
-        finally:
-            self._running = False
+            heapq.heappop(heap)
+            if entry[0] < self._now:
+                raise SimulationError("event heap corrupted: time went backwards")
+            self._now = entry[0]
+            self._executed += 1
+            if len(entry) == 4:
+                entry[2](entry[3])
+            else:
+                entry[2]._done = True
+                entry[2].callback()
 
 
 class PeriodicHandle:
     """Handle returned by :meth:`Simulator.call_every`."""
-
-    __slots__ = ("event", "cancelled")
-
-    def __init__(self) -> None:
-        self.event: Optional[Event] = None
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Stop the periodic callback."""
-        self.cancelled = True
-        if self.event is not None:
-            self.event.cancel()
-
-
-class FastPeriodicHandle:
-    """Handle returned by :meth:`Simulator.call_every_fast`."""
 
     __slots__ = ("cancelled",)
 
@@ -422,5 +316,5 @@ class FastPeriodicHandle:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Stop the periodic callback (the pending tick no-ops)."""
+        """Stop the periodic callback (its queued tick runs as a no-op)."""
         self.cancelled = True

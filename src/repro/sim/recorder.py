@@ -318,7 +318,7 @@ class PeriodicSampler:
         self._probe = probe
         # Record an initial sample at t=now, then periodically.
         self.series.record(sim.now, probe())
-        self._handle = sim.call_every(interval_us, self._tick, name=name)
+        self._handle = sim.call_every(interval_us, self._tick)
         self._sim = sim
 
     def _tick(self) -> None:

@@ -201,19 +201,15 @@ def _noop(*_args):
     [
         lambda sim: sim.schedule(NAN, _noop),
         lambda sim: sim.schedule_at(NAN, _noop),
-        lambda sim: sim.schedule_fast(NAN, _noop),
         lambda sim: sim.schedule_call(NAN, _noop, None),
         lambda sim: sim.call_every(NAN, _noop),
-        lambda sim: sim.call_every_fast(NAN, _noop),
         lambda sim: sim.run_until(NAN),
     ],
     ids=[
         "schedule",
         "schedule_at",
-        "schedule_fast",
         "schedule_call",
         "call_every",
-        "call_every_fast",
         "run_until",
     ],
 )
@@ -222,14 +218,6 @@ def test_kernel_rejects_nan_times(call):
     with pytest.raises(SimulationError):
         call(sim)
     assert sim.pending == 0
-
-
-def test_reschedule_rejects_nan_delay():
-    sim = Simulator()
-    event = sim.schedule(1.0, _noop)
-    sim.run()
-    with pytest.raises(SimulationError, match="into the past"):
-        sim.reschedule(event, NAN)
 
 
 @pytest.mark.parametrize(

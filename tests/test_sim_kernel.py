@@ -108,6 +108,15 @@ def test_call_every_rejects_bad_interval():
         sim.call_every(0.0, lambda: None)
 
 
+def test_call_every_validation():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.call_every(-1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.call_every(10.0, lambda: None, jitter=0.3)  # jitter needs rng
+    assert sim.pending == 0
+
+
 def test_run_bounded_by_max_events():
     sim = Simulator()
 
@@ -198,65 +207,87 @@ def test_fast_tier_interleaves_with_events_in_schedule_order():
     sim = Simulator()
     order = []
     sim.schedule(10.0, lambda: order.append("event"))
-    sim.schedule_fast(10.0, lambda: order.append("fast"))
     sim.schedule_call(10.0, order.append, "call")
+    sim.schedule_at(10.0, lambda: order.append("event_at"))
     sim.run()
-    assert order == ["event", "fast", "call"]
+    assert order == ["event", "call", "event_at"]
 
 
 def test_fast_tier_rejects_negative_delay():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.schedule_fast(-1.0, lambda: None)
-    with pytest.raises(SimulationError):
         sim.schedule_call(-1.0, print, None)
 
 
-def test_call_every_fast_ticks_match_call_every():
-    """Tick times and RNG draw order are identical to call_every — the
-    property the byte-identical goldens depend on."""
+@pytest.mark.parametrize("jitter", [0.0, 0.3])
+def test_call_every_ticks_and_draws_match_an_oracle(jitter):
+    """The first tick lands after an un-jittered interval; each later one
+    is drawn after the callback's own draw from the same RNG, as a client
+    loop does.  A clone of the RNG replays both draws to predict every
+    tick time, so the byte-identical goldens' tick times and draw order
+    are pinned here."""
     import random
 
-    slow_ticks, fast_ticks = [], []
-    sim1 = Simulator()
-    sim1.call_every(
-        10.0, lambda: slow_ticks.append(sim1.now), jitter=0.3,
-        rng=random.Random(5),
+    interval = 10.0
+    rng = random.Random(5)
+    sim = Simulator()
+    ticks, draws = [], []
+    sim.call_every(
+        interval,
+        lambda: (ticks.append(sim.now), draws.append(rng.random())),
+        jitter=jitter,
+        rng=rng if jitter else None,
     )
-    sim1.run_until(500.0)
-    sim2 = Simulator()
-    sim2.call_every_fast(
-        10.0, lambda: fast_ticks.append(sim2.now), jitter=0.3,
-        rng=random.Random(5),
-    )
-    sim2.run_until(500.0)
-    assert fast_ticks == slow_ticks
+    sim.run_until(500.0)
+
+    oracle = random.Random(5)
+    expected_ticks, expected_draws = [], []
+    t = interval
+    while t <= 500.0:
+        expected_ticks.append(t)
+        expected_draws.append(oracle.random())
+        if jitter:
+            t = t + interval * (1.0 + oracle.uniform(-jitter, jitter))
+        else:
+            t = t + interval
+    assert len(ticks) >= 30
+    assert ticks == expected_ticks
+    assert draws == expected_draws
 
 
-def test_call_every_fast_cancel_stops_ticks():
+def test_call_every_cancel_stops_ticks():
     sim = Simulator()
     fired = []
-    handle = sim.call_every_fast(10.0, lambda: fired.append(sim.now))
+    handle = sim.call_every(10.0, lambda: fired.append(sim.now))
     sim.run_until(35.0)
     handle.cancel()
     sim.run_until(200.0)
     assert fired == [10.0, 20.0, 30.0]
 
 
-def test_call_every_fast_validation():
+def test_cancelled_loop_leaves_one_noop_tick():
+    """Cancelling a loop leaves its next tick queued: it counts in
+    pending and, once reached, in events_executed, but calls nothing.
+    The golden event counts of the client loops rely on this."""
     sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.call_every_fast(0.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.call_every_fast(10.0, lambda: None, jitter=0.3)  # jitter needs rng
+    fired = []
+    handle = sim.call_every(10.0, lambda: fired.append(sim.now))
+    sim.run_until(25.0)
+    handle.cancel()
+    assert sim.pending == 1
+    executed = sim.events_executed
+    sim.run_until(100.0)
+    assert fired == [10.0, 20.0]
+    assert sim.events_executed == executed + 1
+    assert sim.pending == 0
 
 
 # -- the one heap ------------------------------------------------------------
 
 
 def test_heap_runs_every_entry_kind_in_time_then_schedule_order():
-    """Event, fast, call and Link entries share one heap and one seq
-    counter: they run in order of time, then of scheduling, which a
+    """Event, call, periodic-tick and Link entries share one heap and one
+    seq counter: they run in order of time, then of scheduling, which a
     sorted oracle over (time, schedule index) predicts exactly."""
     import random
 
@@ -275,15 +306,22 @@ def test_heap_runs_every_entry_kind_in_time_then_schedule_order():
             t = float(rng.randrange(25))
         else:
             t = rng.uniform(0.0, 50.0)
-        kind = i % 5
+        kind = i % 6
         if kind == 0:
             sim.schedule(t, lambda i=i: order.append(i))
         elif kind == 1:
-            sim.schedule_fast(t, lambda i=i: order.append(i))
+            sim.schedule_at(t, lambda i=i: order.append(i))
         elif kind == 2:
             sim.schedule_call(t, order.append, i)
+        elif kind == 3:
+            if t == 0.0:
+                t = 1.0  # call_every needs a positive interval
+            handle = sim.call_every(t, lambda i=i: order.append(i))
+            # first tick only: the callback runs once, then the cancelled
+            # loop's second tick (at 2t) runs as a no-op
+            sim.schedule_call(t, lambda h: h.cancel(), handle)
         else:
-            link = Link(sim, sink, latency_us=t, queueing=kind == 4)
+            link = Link(sim, sink, latency_us=t, queueing=kind == 5)
             link.send(
                 make_packet(
                     "src", "sink", TrafficClass.NORMAL, payload=i, size_bytes=70
@@ -305,7 +343,9 @@ def test_pending_and_executed_are_exact_inside_a_callback():
     seen = []
     sim.schedule(1.0, lambda: None)
     cancelled = sim.schedule(2.0, lambda: None)
-    sim.schedule_fast(3.0, lambda: seen.append((sim.pending, sim.events_executed)))
+    sim.schedule_call(
+        3.0, lambda _: seen.append((sim.pending, sim.events_executed)), None
+    )
     sim.schedule_call(4.0, seen.append, "last")
     cancelled.cancel()
     assert sim.pending == 3
@@ -322,11 +362,11 @@ def test_counters_are_exact_after_a_callback_raises():
     sim = Simulator()
     fired = []
 
-    def boom():
+    def boom(_arg):
         raise ValueError("boom")
 
     sim.schedule(1.0, lambda: fired.append(1.0))
-    sim.schedule_fast(2.0, boom)
+    sim.schedule_call(2.0, boom, None)
     sim.schedule(3.0, lambda: fired.append(3.0)).cancel()
     sim.schedule_call(4.0, fired.append, 4.0)
     with pytest.raises(ValueError):
@@ -353,63 +393,6 @@ def test_pending_and_executed_exact_under_a_budget():
     sim.run_until(10.0)
     assert sim.events_executed == 5
     assert sim.pending == 0
-
-
-# -- event pooling (reschedule) ----------------------------------------------
-
-
-def test_reschedule_reuses_the_same_event_object():
-    sim = Simulator()
-    fired = []
-    ev = sim.schedule(1.0, lambda: fired.append(sim.now))
-    sim.run_until(1.0)
-    again = sim.reschedule(ev, 2.0)
-    assert again is ev
-    assert ev.time == 3.0
-    sim.run_until(5.0)
-    assert fired == [1.0, 3.0]
-    assert sim.events_reused == 1
-
-
-def test_reschedule_orders_like_a_fresh_schedule():
-    """A reused event takes a fresh seq, so same-time FIFO order is the
-    schedule-call order, exactly as if a new Event had been allocated."""
-    sim = Simulator()
-    fired = []
-    ev = sim.schedule(1.0, lambda: fired.append("pooled"))
-    sim.run_until(1.0)
-    sim.reschedule(ev, 1.0)  # fires at t=2.0 ...
-    sim.schedule(1.0, lambda: fired.append("fresh"))  # ... ties at t=2.0
-    sim.run_until(2.0)
-    assert fired == ["pooled", "pooled", "fresh"]
-
-
-def test_reschedule_rejects_pending_and_cancelled_events():
-    sim = Simulator()
-    pending = sim.schedule(1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.reschedule(pending, 1.0)  # still queued: would duplicate it
-    pending.cancel()
-    sim.run_until(1.0)
-    with pytest.raises(SimulationError):
-        sim.reschedule(pending, 1.0)  # cancelled: never executed
-    fired = sim.schedule(1.5, lambda: None)
-    sim.run_until(2.0)
-    with pytest.raises(SimulationError):
-        sim.reschedule(fired, -0.5)
-
-
-def test_call_every_reuses_one_event_per_loop():
-    sim = Simulator()
-    ticks = []
-    handle = sim.call_every(1.0, lambda: ticks.append(sim.now))
-    first_event = handle.event
-    sim.run_until(10.0)
-    assert ticks == [float(i) for i in range(1, 11)]
-    assert handle.event is first_event
-    # every firing re-arms the same object (incl. the last, which
-    # leaves it queued for t=11): 10 firings, 1 allocation
-    assert sim.events_reused == 10
 
 
 def test_call_every_cancel_still_works_with_pooling():

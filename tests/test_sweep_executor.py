@@ -4,11 +4,14 @@ pool, chunked pin-level dispatch through the pool, a dead worker, and the
 fastpath eligibility precheck."""
 
 import dataclasses
+import json
 import os
-import threading
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError, ExecutorError
 from repro.scenarios import (
     NO_CONTROLLER,
@@ -365,32 +368,69 @@ def test_each_des_point_dispatches_one_task_per_pin(name, overrides, pins):
     assert executor_stats()["tasks_dispatched"] == pins * len(spec.points())
 
 
-def test_dead_worker_fails_the_sweep_instead_of_hanging(monkeypatch):
-    parent = os.getpid()
+# The sweep runs in a child interpreter: its pool forks where no other
+# thread exists (the precondition _get_pool documents), the fork picks up
+# the patched run_pinned, and the parent's timeout catches a hang anywhere,
+# pool shutdown included.  The child reports what the test checks as JSON.
+_DEAD_WORKER_CHILD = """
+import json
+import os
+import warnings
 
-    def exit_in_worker(spec, mode):
-        assert os.getpid() != parent, "a pooled sweep replayed in the parent"
-        os._exit(3)
+from repro.scenarios import build_sweep_spec, run_sweep
+from repro.scenarios import sweep as sweep_module
 
-    shutdown_executor()  # the next pool forks with the patch in place
-    monkeypatch.setattr(sweep_module, "run_pinned", exit_in_worker)
-    outcome = {}
+parent = os.getpid()
 
-    def sweep():
-        try:
-            run_sweep(tiny_sweep(), workers=2)
-        except Exception as exc:  # checked by the test's own thread
-            outcome["error"] = exc
 
-    thread = threading.Thread(target=sweep, daemon=True)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive(), "the sweep hung on a dead worker"
-    error = outcome.get("error")
-    assert isinstance(error, ExecutorError), error
-    assert "{'n_hosts': 1, 'rate_per_host_kpps': 8.0}" in str(error)
-    assert "software pin" in str(error)
-    assert sweep_module._POOL is None
+def exit_in_worker(spec, mode):
+    assert os.getpid() != parent, "a pooled sweep replayed in the parent"
+    os._exit(3)
+
+
+sweep_module.run_pinned = exit_in_worker
+spec = build_sweep_spec(
+    "sweep-rack-kvs", hosts=(1, 2), rates_kpps=(8.0,), duration_s=0.1,
+    keyspace=4_000,
+)
+error = None
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    try:
+        run_sweep(spec, workers=2)
+    except Exception as exc:
+        error = exc
+print(json.dumps({
+    "type": type(error).__name__,
+    "message": str(error),
+    "pool_is_none": sweep_module._POOL is None,
+    "fork_warnings": [
+        str(w.message) for w in caught if "fork()" in str(w.message)
+    ],
+}))
+"""
+
+
+def test_dead_worker_fails_the_sweep_instead_of_hanging():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    try:
+        out = subprocess.run(
+            [sys.executable, "-c", _DEAD_WORKER_CHILD],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("the sweep hung on a dead worker")
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report["type"] == ExecutorError.__name__, report["message"]
+    assert "{'n_hosts': 1, 'rate_per_host_kpps': 8.0}" in report["message"]
+    assert "software pin" in report["message"]
+    assert report["pool_is_none"]
+    assert report["fork_warnings"] == []
 
 
 # -- the fastpath eligibility precheck (never-eligible sweeps refuse) -------
