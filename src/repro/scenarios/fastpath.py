@@ -7,16 +7,26 @@ points the DES replay buys convergence noise, not information, so the
 sweep engine can (opt-in, ``run_sweep(..., fastpath=True)``) substitute
 the analytic curves and skip the event loop entirely.
 
-Eligibility (:func:`steady_eligible`) is deliberately narrow:
+The steady model is the analytic twin of
+:func:`~repro.scenarios.sweep.run_pinned`: :func:`steady_grid` (and
+:func:`steady_point`, one spec of it) answers the run ``run_pinned(spec,
+mode)`` would replay.  It applies the pin itself, through the memoized
+placement pin the DES variants use, so the pin's semantics live in one
+place; an already pinned spec gets the same answer.
+
+Which specs it answers (:func:`pinned_steady_eligible`) is deliberately
+narrow, and only covers what a pin cannot change — the pin itself strips
+controllers, co-located jobs and the centralized fabric controller:
 
 * KVS hosts only — no Paxos groups (closed-loop clients adapt to latency,
   which the steady curves do not model) and no DNS hosts (storm phases);
 * a rate-constant workload — no ``phases`` schedule;
-* nothing that can *change* during the run: every controller is ``none``,
-  no centralized fabric controller, no ``served_by`` shard donations (the
-  fabric controller may steer them back mid-run), and no co-located jobs.
-  (The sweep's software/hardware pins satisfy this by construction; the
-  on-demand pin does not, and always runs DES.)
+* no ``served_by`` shard donation (the pins keep it, and a live fabric
+  controller could steer the shard back mid-run).
+
+The on-demand pin keeps its controllers, so it runs DES, or a hybrid on
+racks that :func:`split_steady` splits; :func:`steady_eligible` asks
+whether a spec *as given* can be answered.
 
 Multi-rack fabrics are eligible too: per-rack steady aggregates compose
 with the analytic uplink model of :mod:`repro.steady.fabric`.  Each
@@ -30,12 +40,13 @@ effective bandwidth.  Single-ToR estimates are untouched by the fabric
 terms (no fabric → no adder, bare placement names), so pre-fabric outputs
 stay byte-identical.
 
-:func:`validate_fastpath` is the tolerance gate: it runs both the DES and
-the analytic path for the same spec and checks the relative error on
-achieved throughput, total wall power, and ops/W.  The test suite holds
-the gate at :data:`DEFAULT_REL_TOL`; if a model or calibration change
-pushes the analytic curves away from the DES, the gate — not a silently
-wrong sweep — is what fails.
+:func:`validate_fastpath` is the tolerance gate: for both pins it replays
+the DES (``run_pinned``) and asks the steady model about the same spec,
+so both sides see the same pinned run, and it checks the relative error
+on achieved throughput, total wall power, and ops/W.  The test suite
+holds the gate at :data:`DEFAULT_REL_TOL`; if a model or calibration
+change pushes the analytic curves away from the DES, the gate — not a
+silently wrong sweep — is what fails.
 """
 
 from __future__ import annotations
@@ -57,6 +68,7 @@ from ..steady.kvs import memcached_model
 from ..steady.ondemand import device_hardware_model
 from ..workloads.etc import ShardedEtcWorkload
 from .spec import FabricSpec, KvsHostSpec, ScenarioSpec
+from .sweep import _pinned_placements
 
 #: Relative error the DES-vs-analytic gate tolerates per compared metric.
 #: Short DES horizons carry warm-up and sampling noise; the analytic curve
@@ -67,31 +79,39 @@ _FASTPATH_MODES = ("software", "hardware")
 
 
 def _rack_steady_shape(spec: ScenarioSpec) -> bool:
-    """Rack-level preconditions shared by full and per-host eligibility:
-    a pure KVS fleet offered a rate-constant (phase-free) workload, with
-    no fleet-level dynamics.  Single-ToR racks and multi-rack fabrics both
-    qualify (the fabric composes with the analytic uplink model of
-    :mod:`repro.steady.fabric`), but a live centralized fabric controller
-    or a ``served_by`` shard donation means serving assignments can move
-    mid-run — those always replay the DES."""
+    """Rack-level preconditions shared by full and per-host eligibility
+    of a spec as given: the pin-invariant shape of
+    :func:`pinned_steady_eligible`, and no live centralized fabric
+    controller (serving assignments could move mid-run).  Single-ToR
+    racks and multi-rack fabrics both qualify (the fabric composes with
+    the analytic uplink model of :mod:`repro.steady.fabric`)."""
+    return spec.fabric_controller is None and pinned_steady_eligible(spec)
+
+
+def pinned_steady_eligible(spec: ScenarioSpec) -> bool:
+    """Can the steady model answer this spec's software and hardware
+    pins, the runs ``run_pinned(spec, "software" | "hardware")`` replays?
+
+    Only what a pin cannot change decides it: KVS hosts and nothing else,
+    a rate-constant (phase-free) workload, and no ``served_by`` shard
+    donation.  The pin strips controllers, co-located jobs and the
+    fabric controller itself, so a grid point needs no pinned variant to
+    be asked."""
     return _fleet_steady_shape(spec) and _hosts_steady_shape(spec.kvs_hosts)
 
 
 def _fleet_steady_shape(spec: ScenarioSpec) -> bool:
-    """The spec-level half of :func:`_rack_steady_shape`: KVS hosts and
-    nothing else, no centralized fabric controller, a phase-free
-    workload."""
+    """The spec-level half of :func:`pinned_steady_eligible`: KVS hosts
+    and nothing else, a phase-free workload."""
     if not spec.kvs_hosts or spec.paxos_groups or spec.dns_hosts:
-        return False
-    if spec.fabric_controller is not None:
         return False
     workload = spec.kvs_workload
     return workload is not None and not workload.phases
 
 
 def _hosts_steady_shape(hosts: Sequence[KvsHostSpec]) -> bool:
-    """The host-level half of :func:`_rack_steady_shape`: no ``served_by``
-    shard donation anywhere in the rack."""
+    """The host-level half of :func:`pinned_steady_eligible`: no
+    ``served_by`` shard donation anywhere in the rack."""
     return all(host.served_by is None for host in hosts)
 
 
@@ -103,7 +123,9 @@ def host_steady_eligible(host) -> bool:
 
 
 def steady_eligible(spec: ScenarioSpec) -> bool:
-    """Can this scenario's pinned runs be answered analytically?"""
+    """Can this scenario's run, as given, be answered analytically?
+    Nothing may change during it: on top of :func:`pinned_steady_eligible`,
+    no live controller, co-located job or fabric controller."""
     return _rack_steady_shape(spec) and all(
         host_steady_eligible(host) for host in spec.kvs_hosts
     )
@@ -182,13 +204,14 @@ class SteadyEstimate:
 
 @lru_cache(maxsize=256)
 def _shard_weights(
-    keyspace: int, n_shards: int, zipf_s: float, seed: int
+    keyspace: int, n_shards: int, zipf_s: float
 ) -> Tuple[float, ...]:
     """Memoized Zipf shard split: every grid point of a sweep that shares
-    (keyspace, shard count, skew, seed) — an entire rate ramp — reuses one
+    (keyspace, shard count, skew) — an entire rate ramp, and every
+    replicate seed of it (the split never reads the seed) — reuses one
     ranking pass instead of recomputing it per analytic evaluation."""
     sharded = ShardedEtcWorkload(
-        keyspace=keyspace, n_shards=n_shards, zipf_s=zipf_s, seed=seed
+        keyspace=keyspace, n_shards=n_shards, zipf_s=zipf_s
     )
     return tuple(sharded.shard_weights())
 
@@ -206,9 +229,7 @@ def _per_host_rates(spec: ScenarioSpec) -> List[float]:
     n_shards = workload.n_shards or len(hosts)
     if n_shards == 1:
         return [total_pps]
-    weights = _shard_weights(
-        workload.keyspace, n_shards, workload.zipf_s, spec.seed
-    )
+    weights = _shard_weights(workload.keyspace, n_shards, workload.zipf_s)
     return [
         weights[host.shard_index if host.shard_index is not None else i]
         * total_pps
@@ -240,9 +261,9 @@ def steady_point(
     mode: str,
     host_indices: Optional[Sequence[int]] = None,
 ) -> SteadyEstimate:
-    """Analytic aggregate for one pinned mode of an eligible scenario:
-    :func:`steady_grid` over the one spec (see there for ``host_indices``
-    and the fabric terms)."""
+    """Analytic aggregate of ``run_pinned(spec, mode)``:
+    :func:`steady_grid` over the one spec, which applies the pin itself
+    (see there for ``host_indices`` and the fabric terms)."""
     return steady_grid([spec], mode, host_indices)[0]
 
 
@@ -289,9 +310,9 @@ def _grid_host_constants(
 
 
 class _HostLayout(NamedTuple):
-    """What :func:`steady_grid` needs of one host tuple that its offered
-    rates cannot change (see :func:`_host_layout`).  Positions count the
-    selected hosts, in ``host_indices`` order."""
+    """What :func:`steady_grid` needs of one pinned host tuple that its
+    offered rates cannot change (see :func:`_host_layout`).  Positions
+    count the selected hosts, in ``host_indices`` order."""
 
     #: placement keys (rack-qualified on a fabric), one per position
     keys: Tuple[str, ...]
@@ -322,18 +343,13 @@ def _host_layout(
     fabric: Optional[FabricSpec],
     mode: str,
     host_indices: Optional[Tuple[int, ...]],
-) -> Optional[_HostLayout]:
-    """The rate-independent part of :func:`steady_grid`'s host records,
-    memoized by value per (hosts, fabric, mode, host subset): every rate
-    of a ramp group declares the same hosts, so a grid builds one layout
-    per ramp group and pin instead of one per point.  None when a
-    selected host is not steady-state eligible or the rack donates a
-    shard (``served_by``)."""
+) -> _HostLayout:
+    """The rate-independent part of :func:`steady_grid`'s host records
+    for one pinned host tuple, memoized by value per (hosts, fabric,
+    mode, host subset): every rate of a ramp group declares the same
+    hosts, so a grid builds one layout per ramp group and pin instead of
+    one per point."""
     indices = range(len(kvs_hosts)) if host_indices is None else host_indices
-    if not _hosts_steady_shape(kvs_hosts) or not all(
-        host_steady_eligible(kvs_hosts[i]) for i in indices
-    ):
-        return None
     # the four link records each cross-rack host's traversals cross —
     # request: client-rack up, host-rack down; response: host-rack up,
     # client-rack down — keyed by host index over the whole fleet
@@ -394,8 +410,17 @@ def steady_grid(
     mode: str,
     host_indices: Optional[Sequence[int]] = None,
 ) -> List[SteadyEstimate]:
-    """The steady model: one pass over many eligible specs (a sweep
-    grid's pinned variants) for one pinned mode.
+    """The steady model: one pass over many specs (a sweep grid's points)
+    for one pin, answering for each spec the run ``run_pinned(spec,
+    mode)`` would replay.
+
+    The pin is applied here, through the memoized placement pin the DES
+    variants use (:func:`~repro.scenarios.sweep._pinned_placements`), once
+    per distinct host tuple object per call: a ramp group's points share
+    one host tuple, so the call pins it once.  Pinning is idempotent, so
+    an already pinned spec gets the same answer.  A spec the pin cannot
+    make steady (:func:`pinned_steady_eligible`) raises
+    :class:`ConfigurationError`.
 
     The grid is flattened into struct-of-arrays host records — offered
     rate plus the memoized per-device model constants — and evaluated
@@ -407,21 +432,19 @@ def steady_grid(
     served-weighted p50) stay in host order, so a spec's estimate does
     not depend on the batch it was answered in.
 
-    Everything about a spec's hosts that its offered rates cannot change
-    — host eligibility, each host's model constants, placement keys,
-    host and client racks, the software/hardware positions and their
-    constant columns, the uplink records each cross-rack host reads —
-    comes from :func:`_host_layout`, an LRU of 128
-    layouts keyed by value on (``kvs_hosts``, ``fabric``, ``mode``,
-    ``host_indices``) and emptied by
+    Everything about a spec's pinned hosts that its offered rates cannot
+    change — each host's model constants, placement keys, host and client
+    racks, the software/hardware positions and their constant columns,
+    the uplink records each cross-rack host reads — comes from
+    :func:`_host_layout`, an LRU of 128 layouts keyed by value on (pinned
+    ``kvs_hosts``, ``fabric``, ``mode``, ``host_indices``) and emptied by
     :func:`~repro.scenarios.sweep.clear_spec_cache`.  Per spec, only the
-    rate split, the uplink direction loads and the uplink model are
-    computed; specs sharing one host tuple object (a ramp group's pinned
-    variants) look their layout up once per call.
+    rate split and the uplink direction loads are computed.
 
     ``host_indices`` restricts every estimate to a subset of its rack's
-    hosts (the per-placement fast path: analytics for the pinned hosts of
-    a mixed rack while the shifting ones run DES).  Rates always come
+    hosts (the per-placement fast path: analytics for the hosts of a
+    mixed rack that cannot shift while the shifting ones run DES; the
+    software pin leaves those hosts as they are).  Rates always come
     from the **full** rack's shard split, so the subset estimate composes
     exactly with the residual sub-rack's DES aggregate.
 
@@ -449,22 +472,25 @@ def steady_grid(
     link_ser: List[float] = []
     link_cap: List[float] = []
     spans = []  # per spec: (slot_lo, record_lo, layout)
-    # a ramp group's pinned variants share one host tuple object, so this
-    # call hashes each tuple once, not once per spec
-    layouts: Dict[Tuple[int, Optional[FabricSpec]], Optional[_HostLayout]] = {}
+    # a ramp group's points share one host tuple object, so this call
+    # pins and hashes each tuple once, not once per spec
+    layouts: Dict[Tuple[int, Optional[FabricSpec]], _HostLayout] = {}
     for spec in specs:
         layout = None
         if _fleet_steady_shape(spec):
             ident = (id(spec.kvs_hosts), spec.fabric)
             layout = layouts.get(ident)
-            if layout is None:
+            if layout is None and _hosts_steady_shape(spec.kvs_hosts):
+                pinned, _, _ = _pinned_placements(
+                    spec.kvs_hosts, (), (), mode == "hardware"
+                )
                 layout = layouts[ident] = _host_layout(
-                    spec.kvs_hosts, spec.fabric, mode, indices
+                    pinned, spec.fabric, mode, indices
                 )
         if layout is None:
             raise ConfigurationError(
                 f"scenario {spec.name!r} is not steady-state eligible "
-                "(see scenarios.fastpath.steady_eligible)"
+                "(see scenarios.fastpath.pinned_steady_eligible)"
             )
         rates = _per_host_rates(spec)
         slot_lo = len(flat_rate)
@@ -618,8 +644,11 @@ def _rel_err(estimate: float, reference: float) -> float:
 def validate_fastpath(
     spec: ScenarioSpec, rel_tol: float = DEFAULT_REL_TOL
 ) -> List[FastPathGate]:
-    """The tolerance gate: run DES and the analytic path for both pins and
-    report the relative errors.  Raises if the spec is not eligible; the
+    """The tolerance gate: for both pins, replay ``run_pinned(spec,
+    mode)`` and ask the steady model about the same spec, then report the
+    relative errors.  Both sides pin the spec themselves, so a grid
+    point's own spec and its pinned variants give the same gates.  Raises
+    if the pins are not eligible (:func:`pinned_steady_eligible`); the
     caller (tests, a cautious sweep user) asserts ``all(g.ok for g in ...)``.
     """
     # local import: sweep imports this module for run_sweep(fastpath=True)

@@ -43,7 +43,8 @@ rack-scale extensions all live here:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 # shared with the sweep and device registries and the CLI suggestions;
@@ -305,6 +306,16 @@ def _rack_spec(
     )
 
 
+@lru_cache(maxsize=128)
+def _rack_kvs_hosts(n_hosts: int) -> Tuple[KvsHostSpec, ...]:
+    """``rack-kvs``'s hosts, one tuple object per host count.  The sweep
+    bases build their hosts through memos like this one, keyed on what the
+    hosts depend on and never on the rate, so every rate of a ramp group
+    shares one frozen host tuple and the sweep's memos of pinned
+    placements and steady host layouts hit by identity."""
+    return tuple(KvsHostSpec(name=f"kvs{i}") for i in range(n_hosts))
+
+
 @register("rack-kvs")
 def rack_kvs_spec(
     n_hosts: int = 4,
@@ -327,7 +338,7 @@ def rack_kvs_spec(
         ),
         duration_s=duration_s,
         seed=seed,
-        kvs_hosts=tuple(KvsHostSpec(name=f"kvs{i}") for i in range(n_hosts)),
+        kvs_hosts=_rack_kvs_hosts(n_hosts),
         kvs_workload=KvsWorkloadSpec(
             keyspace=keyspace, rate_kpps=rate_per_host_kpps * n_hosts
         ),
@@ -380,6 +391,32 @@ def rack8_spec(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=128)
+def _rack_hetero_hosts(
+    kinds: Tuple[str, ...], ctl_window_s: float
+) -> Tuple[KvsHostSpec, ...]:
+    """``rack-hetero``'s hosts, one tuple object per (device kinds,
+    controller window) — shared by every rate (see
+    :func:`_rack_kvs_hosts`)."""
+    hosts = []
+    for i, kind in enumerate(kinds):
+        device = DeviceSpec(kind=kind)
+        if device.is_offload:
+            controller = ControllerSpec(
+                kind="network",
+                params=dict(
+                    up_window_us=sec(ctl_window_s),
+                    down_window_us=sec(ctl_window_s),
+                ),
+            )
+        else:
+            controller = NO_CONTROLLER
+        hosts.append(
+            KvsHostSpec(name=f"kvs{i}", device=device, controller=controller)
+        )
+    return tuple(hosts)
+
+
 @register("rack-hetero")
 def rack_hetero_spec(
     device_kinds: tuple = ("netfpga-sume", "asic-nic", "none"),
@@ -412,22 +449,7 @@ def rack_hetero_spec(
     kinds = (device_kind,) * len(device_kinds) if device_kind else tuple(device_kinds)
     if not kinds:
         raise ConfigurationError("rack-hetero needs at least one device kind")
-    hosts = []
-    for i, kind in enumerate(kinds):
-        device = DeviceSpec(kind=kind)
-        if device.is_offload:
-            controller = ControllerSpec(
-                kind="network",
-                params=dict(
-                    up_window_us=sec(ctl_window_s),
-                    down_window_us=sec(ctl_window_s),
-                ),
-            )
-        else:
-            controller = NO_CONTROLLER
-        hosts.append(
-            KvsHostSpec(name=f"kvs{i}", device=device, controller=controller)
-        )
+    hosts = _rack_hetero_hosts(kinds, ctl_window_s)
     n_hosts = len(hosts)
     t_mid = min(1.0, duration_s / 3.0)
     t_peak = min(2.5, duration_s / 1.8)
@@ -448,7 +470,7 @@ def rack_hetero_spec(
         ),
         duration_s=duration_s,
         seed=seed,
-        kvs_hosts=tuple(hosts),
+        kvs_hosts=hosts,
         kvs_workload=KvsWorkloadSpec(
             keyspace=keyspace,
             rate_kpps=rate_per_host_kpps * n_hosts,
@@ -506,6 +528,24 @@ def rack_paxos_shared_spec(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=128)
+def _fabric_kvs_hosts(
+    n_racks: int, hosts_per_rack: int
+) -> Tuple[KvsHostSpec, ...]:
+    """``fabric-kvs``'s hosts, one tuple object per (rack count, hosts per
+    rack) — shared by every rate (see :func:`_rack_kvs_hosts`)."""
+    return tuple(
+        KvsHostSpec(
+            name=f"kvs{j}",
+            rack=f"rack{i}",
+            client_name=f"rack{(i + 1) % n_racks}/kvs{j}-client",
+            controller=NO_CONTROLLER,
+        )
+        for i in range(n_racks)
+        for j in range(hosts_per_rack)
+    )
+
+
 @register("fabric-kvs")
 def fabric_kvs_spec(
     n_racks: int = 2,
@@ -530,16 +570,7 @@ def fabric_kvs_spec(
         raise ConfigurationError("fabric-kvs needs n_racks >= 1")
     if hosts_per_rack < 1:
         raise ConfigurationError("fabric-kvs needs hosts_per_rack >= 1")
-    hosts = tuple(
-        KvsHostSpec(
-            name=f"kvs{j}",
-            rack=f"rack{i}",
-            client_name=f"rack{(i + 1) % n_racks}/kvs{j}-client",
-            controller=NO_CONTROLLER,
-        )
-        for i in range(n_racks)
-        for j in range(hosts_per_rack)
-    )
+    hosts = _fabric_kvs_hosts(n_racks, hosts_per_rack)
     return ScenarioSpec(
         name="fabric-kvs",
         description=(

@@ -488,12 +488,15 @@ def spec_hash(base: str, overrides: Dict[str, object]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-#: Materialized-spec cache: grid points are re-materialized once per
-#: eligibility precheck, once per task, and K times across replicate seeds
-#: that share (base, overrides); specs are frozen dataclasses, so handing
-#: the same instance out repeatedly is safe.  Entries pin the factory that
-#: built them — a re-registered scenario name misses instead of serving a
-#: stale spec.  Fork-started pool workers inherit a pre-warmed cache.
+#: Materialized-spec cache.  It hits when the adaptive search's analytic
+#: pass plans the grid points :func:`_adapt` has just materialized, when
+#: :func:`sweep_fastpath_eligibility` has materialized a grid before it
+#: runs, and when the same sweep runs again in one process.  Replicate
+#: seeds never share an entry (each seed is its own ``seed`` override),
+#: and pool workers never look here: each task carries its spec.  Specs
+#: are frozen dataclasses, so handing the same instance out repeatedly is
+#: safe.  Entries pin the factory that built them — a re-registered
+#: scenario name misses instead of serving a stale spec.
 _SPEC_CACHE: "OrderedDict[Tuple[str, str], Tuple[Callable, ScenarioSpec]]" = (
     OrderedDict()
 )
@@ -634,10 +637,10 @@ class PinTask(NamedTuple):
     ``key`` is ``(replicate, grid point index)``.  ``evaluator`` says what
     answers the pin: ``"analytic"`` (the steady curves), ``"des"`` (a full
     replay) or ``"hybrid"`` (the on-demand pin of a mixed rack: analytic
-    hosts plus a residual DES sub-rack).  ``scenario`` is the spec the
-    evaluator takes: an analytic pin's pinned variant, or else the grid
-    point's one materialization, which every replayed pin of the point
-    shares (:func:`run_pinned` pins it).
+    hosts plus a residual DES sub-rack).  ``scenario`` is always the grid
+    point's one materialization, which every pin of the point shares: the
+    evaluator applies the pin (:func:`run_pinned` for a replay,
+    :func:`~repro.scenarios.fastpath.steady_grid` for the steady curves).
     """
 
     key: Tuple[int, int]
@@ -651,30 +654,22 @@ def _pin_tasks(
     key: Tuple[int, int],
     params: Dict[str, object],
     scenario: ScenarioSpec,
-    software: Optional[ScenarioSpec] = None,
+    analytic: bool = False,
 ) -> List[PinTask]:
-    """The pins of one grid point.  ``software`` is the point's software
-    variant when the steady curves answer its static pins, else None (a
-    full DES replay).  The on-demand pin exists only when something can
-    shift; on an analytic point whose rack splits
-    (:func:`~repro.scenarios.fastpath.split_steady`) it is a hybrid, else
-    a full DES replay."""
+    """The pins of one grid point.  ``analytic`` says the steady curves
+    answer its static pins, else each replays the DES.  The on-demand pin
+    exists only when something can shift; on an analytic point whose rack
+    splits (:func:`~repro.scenarios.fastpath.split_steady`) it is a
+    hybrid, else a full DES replay."""
     from .fastpath import split_steady
 
-    if software is not None:
-        tasks = [
-            PinTask(key, params, "software", "analytic", software),
-            PinTask(
-                key, params, "hardware", "analytic", hardware_variant(scenario)
-            ),
-        ]
-    else:
-        tasks = [
-            PinTask(key, params, mode, "des", scenario) for mode in _STATIC_PINS
-        ]
+    static = "analytic" if analytic else "des"
+    tasks = [
+        PinTask(key, params, mode, static, scenario) for mode in _STATIC_PINS
+    ]
     if _has_ondemand_drive(scenario):
         evaluator = "des"
-        if software is not None:
+        if analytic:
             indices, residual = split_steady(ondemand_variant(scenario))
             if indices and residual is not None:
                 evaluator = "hybrid"
@@ -692,26 +687,26 @@ def _plan(
     replicate-major grid order (see :func:`_pin_tasks`).
 
     The policy: everything replays the DES, except that under
-    ``fastpath`` the steady curves answer the static pins of every
-    steady-state-eligible point that no anchor names.
+    ``fastpath`` the steady curves answer the static pins of every point
+    whose pins they can answer
+    (:func:`~repro.scenarios.fastpath.pinned_steady_eligible`, checked on
+    the point's own spec) and that no anchor names.
 
     A generator: the executor answers analytic slices while the plan is
     still being materialized, so only one slice of specs is alive at a
     time.  A fastpath plan with no eligible point raises at its end,
     before anything replays — it would silently run the full DES."""
-    from .fastpath import steady_eligible
+    from .fastpath import pinned_steady_eligible
 
     eligible = False
     for rep, sweep in enumerate(sweeps):
         for i, params in enumerate(grid):
             scenario = _materialize(sweep, params)
-            software = software_variant(scenario) if fastpath else None
-            if software is not None and not steady_eligible(software):
-                software = None
-            eligible = eligible or software is not None
-            if software is not None and _matches_anchors(params, anchors):
-                software = None
-            yield from _pin_tasks((rep, i), params, scenario, software)
+            analytic = fastpath and pinned_steady_eligible(scenario)
+            eligible = eligible or analytic
+            if analytic and _matches_anchors(params, anchors):
+                analytic = False
+            yield from _pin_tasks((rep, i), params, scenario, analytic)
     if fastpath and not eligible:
         raise ConfigurationError(
             f"sweep {sweeps[0].name!r} over {sweeps[0].base!r}: "
@@ -719,7 +714,7 @@ def _plan(
             "search='adaptive' have no analytic grid — every point would "
             "silently run the full DES; use the exhaustive DES search or "
             "sweep an eligible scenario (see "
-            "repro.scenarios.fastpath.steady_eligible)"
+            "repro.scenarios.fastpath.pinned_steady_eligible)"
         )
 
 
@@ -1365,8 +1360,8 @@ def run_sweep(
 
     ``fastpath=True`` answers the software and hardware pins of
     steady-state-eligible grid points (see
-    :func:`repro.scenarios.fastpath.steady_eligible`) from the analytic
-    models instead of replaying the DES: in the parent, one batched
+    :func:`repro.scenarios.fastpath.pinned_steady_eligible`) from the
+    analytic models instead of replaying the DES: in the parent, one batched
     ``steady_grid`` call per pin per slice of grid points.  An on-demand
     pin that can shift still replays, as a hybrid on mixed racks.  It is
     opt-in because the numbers are the infinite-horizon limit rather than
@@ -1718,11 +1713,11 @@ def sweep_fastpath_eligibility(
     are (``fastpath=True`` and ``search="adaptive"`` both refuse).
     Shown per sweep by ``python -m repro --list``.
     """
-    from .fastpath import steady_eligible
+    from .fastpath import pinned_steady_eligible
 
     spec = _resolve(sweep, overrides)
     flags = [
-        steady_eligible(software_variant(_materialize(spec, params)))
+        pinned_steady_eligible(_materialize(spec, params))
         for params in spec.points()
     ]
     if all(flags):

@@ -16,7 +16,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Callable, List
+import zlib
+from array import array
+from itertools import islice
+from typing import Iterator, List
 
 from ..errors import ConfigurationError
 from ..floats import left_sum
@@ -236,13 +239,40 @@ class EtcShardStream:
             store_set(key, self.value())
 
 
+#: ``zlib.crc32`` of ``key:{rank:08d}`` for ranks 1, 2, … (rank ``r`` at
+#: index ``r - 1``): ``crc % n_shards`` is the key's
+#: :func:`~repro.net.classifier.key_shard` for any shard count.  A key's
+#: spelling does not depend on the keyspace, so one table serves every
+#: keyspace in the process; it grows as far as any scan has read, four
+#: bytes a key, and forked workers inherit it.
+_KEY_CRCS = array("I")
+
+
+def _key_crcs(n: int) -> Iterator[int]:
+    """The CRCs of ranks 1..``n`` in rank order.  The table grows only as
+    far as the caller reads, in doubling chunks, so a scan that stops at
+    a shard's first key leaves the rest of a large keyspace unhashed."""
+    lo = 0
+    while lo < n:
+        hi = min(n, max(2 * lo, 1024))
+        if len(_KEY_CRCS) < hi:
+            _KEY_CRCS.extend(
+                zlib.crc32(f"key:{rank:08d}".encode())
+                for rank in range(len(_KEY_CRCS) + 1, hi + 1)
+            )
+        yield from islice(_KEY_CRCS, lo, hi)
+        lo = hi
+
+
 class ShardedEtcWorkload:
     """The ETC workload split across a rack of N KVS hosts by key shard.
 
     Shard ownership is :func:`repro.net.classifier.key_shard` over the key
     string — the same mapping the ToR's :class:`KeyShardRouter` uses — so
     a request generated for shard *i* is guaranteed to be routed to host
-    *i*'s store, which was preloaded with exactly those keys.
+    *i*'s store, which was preloaded with exactly those keys.  The
+    keyspace-wide helpers read it off the shared CRC table instead of
+    hashing every key again.
     """
 
     def __init__(
@@ -272,11 +302,11 @@ class ShardedEtcWorkload:
     def shard_keys(self, shard: int, count: int) -> List[str]:
         """Up to ``count`` keys owned by ``shard``, most popular first."""
         self._check_shard(shard)
+        n_shards = self.n_shards
         keys = []
-        for rank in range(1, self.keyspace + 1):
-            key = f"key:{rank:08d}"
-            if key_shard(key, self.n_shards) == shard:
-                keys.append(key)
+        for rank, crc in enumerate(_key_crcs(self.keyspace), 1):
+            if crc % n_shards == shard:
+                keys.append(f"key:{rank:08d}")
                 if len(keys) >= count:
                     break
         return keys
@@ -288,10 +318,12 @@ class ShardedEtcWorkload:
         the first ``min(keyspace, max_rank)`` ranks, then normalizes; used
         to split a rack's total offered rate into per-host client rates.
         """
-        weights = [0.0] * self.n_shards
-        for rank in range(1, min(self.keyspace, max_rank) + 1):
-            p = rank ** (-self.zipf_s)
-            weights[key_shard(f"key:{rank:08d}", self.n_shards)] += p
+        n_shards = self.n_shards
+        exponent = -self.zipf_s
+        n = min(self.keyspace, max_rank)
+        weights = [0.0] * n_shards
+        for rank, crc in enumerate(_key_crcs(n), 1):
+            weights[crc % n_shards] += rank ** exponent
         total = left_sum(weights)
         return [w / total for w in weights]
 

@@ -85,6 +85,43 @@ SCENARIO_RESULTS_PARAMS = dict(
     ),
 )
 
+#: Full-precision fast-path aggregates (``run_sweep(..., fastpath=True)``):
+#: the rendered tables round to 0-3 decimals and would hide a low-bit change
+#: in the steady model.  Each case is ``(registered sweep, overrides,
+#: fixed)``; a non-empty ``fixed`` replaces every axis but the ramp with
+#: those factory overrides.  The last case is a NetFPGA + NIC-only rack,
+#: whose on-demand pin is a hybrid: analytic NIC-only host plus a residual
+#: DES sub-rack.
+SWEEP_FASTPATH_PARAMS = dict(
+    cases=(
+        (
+            "sweep-fabric-scale",
+            dict(
+                racks=(1, 2, 4),
+                rates_kpps=(8.0, 24.0, 40.0, 56.0),
+                duration_s=0.1,
+                keyspace=4_000,
+            ),
+            {},
+        ),
+        (
+            "sweep-rack-kvs",
+            dict(rates_kpps=(8.0, 32.0), duration_s=0.1, keyspace=4_000),
+            {},
+        ),
+        (
+            "sweep-rack-hetero",
+            dict(rates_kpps=(8.0, 32.0), duration_s=0.1, keyspace=4_000),
+            {},
+        ),
+        (
+            "sweep-rack-hetero",
+            dict(rates_kpps=(8.0, 32.0), duration_s=0.1, keyspace=4_000),
+            dict(device_kinds=("netfpga-sume", "none")),
+        ),
+    ),
+)
+
 GOLDENS = {
     "fig6_kvs_transition.txt": ("fig6", FIG6_PARAMS),
     "fig7_paxos_transition.txt": ("fig7", FIG7_PARAMS),
@@ -95,6 +132,10 @@ GOLDENS = {
         SWEEP_FABRIC_PARAMS,
     ),
     "scenario_results.txt": ("scenario-results", SCENARIO_RESULTS_PARAMS),
+    "sweep_fastpath_aggregates.txt": (
+        "sweep-fastpath-aggregates",
+        SWEEP_FASTPATH_PARAMS,
+    ),
 }
 
 
@@ -162,5 +203,25 @@ def generate(kind: str, params: dict) -> str:
             lines.append(f"{pt.params!r}")
             for mode in ("software", "hardware", "ondemand"):
                 lines.append(f"  {mode}: {getattr(pt, mode)!r}")
+        return "\n".join(lines) + "\n"
+    if kind == "sweep-fastpath-aggregates":
+        import dataclasses
+
+        lines = []
+        for name, overrides, fixed in params["cases"]:
+            sweep = build_sweep_spec(name, **overrides)
+            if fixed:
+                ramp = sweep.resolved_tip_axis()
+                sweep = dataclasses.replace(
+                    sweep,
+                    axes=tuple(a for a in sweep.axes if a.param == ramp),
+                    fixed={**sweep.fixed_dict(), **fixed},
+                )
+            result = run_sweep(sweep, fastpath=True)
+            lines.append(f"{name} {overrides!r} {fixed!r}")
+            for pt in result.points:
+                lines.append(f"  {pt.params!r}")
+                for mode in ("software", "hardware", "ondemand"):
+                    lines.append(f"    {mode}: {getattr(pt, mode)!r}")
         return "\n".join(lines) + "\n"
     return run_sweep(build_sweep_spec(kind, **params)).render()

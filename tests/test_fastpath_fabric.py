@@ -201,3 +201,16 @@ def test_fabric_fastpath_gate_holds_against_des(oversubscription):
             f"ops/W err {gate.ops_per_watt_rel_err:.3f} "
             f"(tol {DEFAULT_REL_TOL})"
         )
+
+
+def test_validate_fastpath_pins_both_sides():
+    """The gate replays ``run_pinned(spec, mode)`` and asks the steady
+    model about the same spec, and both sides apply the pin: a grid
+    point's own spec (cards without ``power_save``) gives the same gates
+    as its software variant, and they pass.  A model that answered the
+    unpinned hosts would miss the pinned run's standby cards by over 20%
+    of wall power."""
+    plain = validate_fastpath(small_fabric())
+    pinned = validate_fastpath(software_variant(small_fabric()))
+    assert plain == pinned
+    assert all(gate.ok for gate in plain)

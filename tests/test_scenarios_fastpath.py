@@ -9,13 +9,14 @@ from repro.scenarios import (
     ControllerSpec,
     build_spec,
     build_sweep_spec,
+    host_steady_eligible,
     run_sweep,
     software_variant,
     steady_eligible,
     steady_point,
     validate_fastpath,
 )
-from repro.scenarios.fastpath import DEFAULT_REL_TOL
+from repro.scenarios.fastpath import DEFAULT_REL_TOL, pinned_steady_eligible
 
 
 def small_rack(n_hosts=2, rate_per_host_kpps=12.0):
@@ -154,7 +155,7 @@ def hetero_rack(rate_per_host_kpps=24.0, duration_s=0.25):
 
 
 def test_host_steady_eligible_per_host():
-    from repro.scenarios import host_steady_eligible, ondemand_variant
+    from repro.scenarios import ondemand_variant
 
     od = ondemand_variant(hetero_rack())
     # the offload host keeps a live on-demand controller; the NIC-only
@@ -214,12 +215,34 @@ def test_subset_steady_points_compose_to_the_full_estimate():
     )
 
 
-def test_subset_steady_point_rejects_ineligible_host():
-    from repro.scenarios import ondemand_variant
+def test_subset_steady_point_answers_a_live_host_as_its_pin():
+    """The steady model applies the pin itself: a host with a live
+    controller is answered as ``run_pinned`` would replay it (controller
+    stripped), the same estimate its pinned variant gets."""
+    from repro.scenarios import hardware_variant, ondemand_variant
 
     od = ondemand_variant(hetero_rack())
-    with pytest.raises(ConfigurationError):
-        steady_point(od, "software", host_indices=[0])  # live controller
+    assert not host_steady_eligible(od.kvs_hosts[0])  # live controller
+    for mode, variant in (
+        ("software", software_variant),
+        ("hardware", hardware_variant),
+    ):
+        got = steady_point(od, mode, host_indices=[0])
+        assert repr(got) == repr(
+            steady_point(variant(od), mode, host_indices=[0])
+        )
+
+
+def test_subset_steady_point_rejects_a_shard_donation():
+    """What a pin keeps still decides: a rack whose host donates its
+    shard (``served_by``) is rejected, pinned or not."""
+    spec = small_rack(n_hosts=2)
+    donor = dataclasses.replace(spec.kvs_hosts[1], served_by="kvs0")
+    spec = dataclasses.replace(spec, kvs_hosts=(spec.kvs_hosts[0], donor))
+    assert not pinned_steady_eligible(spec)
+    for indices in (None, [0]):
+        with pytest.raises(ConfigurationError, match="not steady-state"):
+            steady_point(spec, "software", host_indices=indices)
 
 
 def test_hybrid_ondemand_matches_full_des_within_tolerance():

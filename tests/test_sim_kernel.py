@@ -255,14 +255,23 @@ def test_call_every_ticks_and_draws_match_an_oracle(jitter):
     assert draws == expected_draws
 
 
-def test_call_every_cancel_stops_ticks():
+@pytest.mark.parametrize(
+    "interval,cancel_at,horizon",
+    [
+        (10.0, 35.0, 200.0),
+        # the inclusive run_until ends on the third tick: a cancel right
+        # after it still stops the loop
+        (1.0, 3.0, 10.0),
+    ],
+)
+def test_call_every_cancel_stops_ticks(interval, cancel_at, horizon):
     sim = Simulator()
     fired = []
-    handle = sim.call_every(10.0, lambda: fired.append(sim.now))
-    sim.run_until(35.0)
+    handle = sim.call_every(interval, lambda: fired.append(sim.now))
+    sim.run_until(cancel_at)
     handle.cancel()
-    sim.run_until(200.0)
-    assert fired == [10.0, 20.0, 30.0]
+    sim.run_until(horizon)
+    assert fired == [interval, 2 * interval, 3 * interval]
 
 
 def test_cancelled_loop_leaves_one_noop_tick():
@@ -393,13 +402,3 @@ def test_pending_and_executed_exact_under_a_budget():
     sim.run_until(10.0)
     assert sim.events_executed == 5
     assert sim.pending == 0
-
-
-def test_call_every_cancel_still_works_with_pooling():
-    sim = Simulator()
-    ticks = []
-    handle = sim.call_every(1.0, lambda: ticks.append(sim.now))
-    sim.run_until(3.0)
-    handle.cancel()
-    sim.run_until(10.0)
-    assert ticks == [1.0, 2.0, 3.0]

@@ -24,6 +24,7 @@ from repro.scenarios import (
     software_variant,
     split_steady,
     steady_grid,
+    steady_point,
 )
 from repro.scenarios.fastpath import (
     _FASTPATH_MODES,
@@ -327,6 +328,21 @@ def test_steady_grid_matches_steady_point(name, mode):
     want = [scalar_steady_point(spec, mode) for spec in specs]
     # exact equality, field for field — byte-identical, not approx
     assert steady_grid(specs, mode) == want
+
+
+@pytest.mark.parametrize("name", ELIGIBLE_SWEEPS)
+def test_steady_point_applies_the_pin(name):
+    """``steady_point(spec, mode)`` answers ``run_pinned(spec, mode)``:
+    a grid point's own spec and its pinned variant get the same estimate,
+    for both pins of every point."""
+    for spec in _eligible_grid(name):
+        for mode, variant in (
+            ("software", software_variant),
+            ("hardware", hardware_variant),
+        ):
+            assert repr(steady_point(spec, mode)) == repr(
+                steady_point(variant(spec), mode)
+            ), (spec.name, mode)
 
 
 @pytest.mark.parametrize("rate", [8.0, 16.0, 24.0, 32.0])

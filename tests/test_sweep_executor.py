@@ -175,7 +175,9 @@ def test_pinned_memo_follows_a_re_registered_factory(fresh_cache):
 
 def test_clear_spec_cache_empties_the_memos(fresh_cache):
     steady_grid([software_variant(_one_host_rack("h0"))], "software")
-    assert _pinned_placements.cache_info().currsize == 1
+    # the variant pins the rack's hosts, and steady_grid pins the pinned
+    # tuple again (equal by value, but another memo key)
+    assert _pinned_placements.cache_info().currsize == 2
     assert _host_layout.cache_info().currsize == 1
     clear_spec_cache()
     assert _pinned_placements.cache_info().currsize == 0
@@ -191,6 +193,56 @@ def test_memos_never_grow_past_their_bound(fresh_cache):
             assert memo.cache_info().currsize <= memo.cache_info().maxsize
     for memo in memos:
         assert memo.cache_info().currsize == memo.cache_info().maxsize
+
+
+# -- rate-independent inputs shared by a ramp group ---------------------------
+
+
+@pytest.mark.parametrize(
+    "name", ["sweep-rack-kvs", "sweep-rack-hetero", "sweep-fabric-scale"]
+)
+def test_a_ramp_group_shares_one_host_tuple(fresh_cache, name):
+    """Every rate of a ramp group materializes the same host tuple
+    object, so the pin and layout memos hit by identity."""
+    sweep = build_sweep_spec(name)
+    grid = sweep.points()
+    firsts = []
+    for _, indices in sweep.ramp_groups():
+        hosts = [_materialize(sweep, grid[i]).kvs_hosts for i in indices]
+        assert all(h is hosts[0] for h in hosts)
+        firsts.append(hosts[0])
+    assert len({id(h) for h in firsts}) == len(firsts)
+
+
+def test_dense_fastpath_sweep_pins_once_per_ramp_group(fresh_cache, monkeypatch):
+    """A dense fast-path sweep adds at most one pin miss and one layout
+    miss per (ramp group, pin), even when a ramp group spans several
+    analytic slices."""
+    monkeypatch.setattr(sweep_module, "_ANALYTIC_SLICE", 7)
+    spec = build_sweep_spec(
+        "sweep-fabric-scale",
+        racks=(1, 2, 4),
+        rates_kpps=tuple(4.0 + 0.5 * i for i in range(40)),
+    )
+    run_sweep(spec, fastpath=True)
+    bound = 2 * len(spec.ramp_groups())
+    assert _pinned_placements.cache_info().misses <= bound
+    assert _host_layout.cache_info().misses <= bound
+
+
+def test_shard_weights_memo_ignores_the_seed():
+    """The Zipf split never reads the seed: two seeds of one (keyspace,
+    shard count, skew) share one memo entry."""
+    fastpath_module._shard_weights.cache_clear()
+    a, b = (
+        build_spec("rack-kvs", n_hosts=4, keyspace=4_000, seed=seed)
+        for seed in (1, 2)
+    )
+    assert fastpath_module._per_host_rates(a) == (
+        fastpath_module._per_host_rates(b)
+    )
+    info = fastpath_module._shard_weights.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 # -- chunked dispatch -------------------------------------------------------

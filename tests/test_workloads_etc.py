@@ -180,3 +180,70 @@ class TestShardedEtcWorkload:
         assert sharded.stream(owner).key() == "key:00000001"
         with pytest.raises(ConfigurationError, match="owns no keys"):
             sharded.stream(1 - owner)
+
+
+# -- the shared CRC table: bit for bit what the per-key loops gave ------------
+
+
+def _loop_shard_keys(keyspace, n_shards, shard, count):
+    """The per-key ownership scan, hashing every key string."""
+    from repro.net.classifier import key_shard
+
+    keys = []
+    for rank in range(1, keyspace + 1):
+        key = f"key:{rank:08d}"
+        if key_shard(key, n_shards) == shard:
+            keys.append(key)
+            if len(keys) >= count:
+                break
+    return keys
+
+
+def _loop_shard_weights(keyspace, n_shards, zipf_s, max_rank):
+    """The per-key Zipf mass scan, added in rank order."""
+    from repro.net.classifier import key_shard
+
+    weights = [0.0] * n_shards
+    for rank in range(1, min(keyspace, max_rank) + 1):
+        p = rank ** (-zipf_s)
+        weights[key_shard(f"key:{rank:08d}", n_shards)] += p
+    total = 0.0
+    for weight in weights:
+        total += weight
+    return [w / total for w in weights]
+
+
+@pytest.mark.parametrize(
+    "keyspace,n_shards,zipf_s,max_rank",
+    [
+        (500, 3, 0.99, 200_000),
+        (4_000, 8, 0.99, 200_000),
+        (20_000, 16, 0.8, 200_000),
+        (3_000, 1, 1.2, 200_000),  # one shard owns everything
+        (6_000, 4, 0.99, 1_000),  # max_rank below the keyspace
+        (3, 8, 0.99, 200_000),  # most shards own no key
+    ],
+)
+def test_shard_keys_and_weights_match_the_per_key_loops(
+    keyspace, n_shards, zipf_s, max_rank
+):
+    from repro.workloads import ShardedEtcWorkload
+    from repro.workloads import etc
+
+    # start from a short table, so the calls below also grow it
+    del etc._KEY_CRCS[2:]
+    sharded = ShardedEtcWorkload(
+        keyspace=keyspace, n_shards=n_shards, zipf_s=zipf_s
+    )
+    assert sharded.shard_weights(max_rank) == _loop_shard_weights(
+        keyspace, n_shards, zipf_s, max_rank
+    )
+    owned = 0
+    for shard in range(n_shards):
+        for count in (1, 7, keyspace):
+            keys = sharded.shard_keys(shard, count)
+            assert keys == _loop_shard_keys(keyspace, n_shards, shard, count)
+        owned += len(keys)
+    assert owned == keyspace
+    if n_shards > keyspace:
+        assert any(not sharded.shard_keys(s, 1) for s in range(n_shards))
