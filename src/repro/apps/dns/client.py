@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Callable
+from typing import Callable, Sequence
 
 from ...errors import ConfigurationError
 from ...net.packet import Packet, TrafficClass, make_packet, release_packet
@@ -35,8 +35,6 @@ class DnsClient(Node):
         self.latency = LatencyRecorder(f"{name}.latency")
         #: (response time, latency) samples for timeline plots
         self.latency_series = TimeSeries(f"{name}.latency-series")
-        #: response timestamps for bucketed throughput series
-        self.response_times_us = []
         self.responses = 0
         self.resolved = 0
         self.nxdomain = 0
@@ -65,6 +63,12 @@ class DnsClient(Node):
     def rate_pps(self) -> float:
         return self._rate_pps
 
+    @property
+    def response_times_us(self) -> Sequence[float]:
+        """Response timestamps, for bucketed throughput series: a read-only
+        view of :attr:`latency_series`' times."""
+        return self.latency_series.times
+
     def stop(self) -> None:
         self.set_rate(0.0)
 
@@ -90,7 +94,6 @@ class DnsClient(Node):
         age = packet.age_us(self.sim.now)
         self.latency.record(age)
         self.latency_series.record(self.sim.now, age)
-        self.response_times_us.append(self.sim.now)
         if response.rcode is DnsRcode.NOERROR:
             self.resolved += 1
         elif response.rcode is DnsRcode.NXDOMAIN:

@@ -9,7 +9,7 @@ achieved throughput.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ...errors import ConfigurationError
 from ...net.packet import Packet, TrafficClass, make_packet, release_packet
@@ -48,8 +48,6 @@ class KvsClient(Node):
         self.latency = LatencyRecorder(f"{name}.latency")
         #: (response time, latency) samples for timeline plots (Figure 6)
         self.latency_series = TimeSeries(f"{name}.latency-series")
-        #: response timestamps for throughput timelines
-        self.response_times_us = []
         self.responses = 0
         self.hits = 0
         self.misses = 0
@@ -80,6 +78,12 @@ class KvsClient(Node):
     @property
     def rate_pps(self) -> float:
         return self._rate_pps
+
+    @property
+    def response_times_us(self) -> Sequence[float]:
+        """Response timestamps, for throughput timelines: a read-only view
+        of :attr:`latency_series`' times."""
+        return self.latency_series.times
 
     def stop(self) -> None:
         self.set_rate(0.0)
@@ -127,7 +131,6 @@ class KvsClient(Node):
         latency = now - packet.created_us
         self.latency.record(latency)
         self.latency_series.record(now, latency)
-        self.response_times_us.append(now)
         status = response.status
         if status is KvsStatus.HIT:
             self.hits += 1

@@ -8,7 +8,7 @@ corresponds to, so it is a first-class parameter here.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from ... import calibration as cal
 from ...errors import ConfigurationError
@@ -52,8 +52,6 @@ class PaxosClient(Node):
         self.latency = LatencyRecorder(f"{name}.latency")
         #: (decision time, latency) samples for timeline plots (Figure 7)
         self.latency_series = TimeSeries(f"{name}.latency-series")
-        #: decision timestamps for throughput timelines
-        self.decision_times_us = []
         self.decided = 0
         self.retries = 0
         self.dropped_backpressure = 0
@@ -84,6 +82,12 @@ class PaxosClient(Node):
     @property
     def rate_pps(self) -> float:
         return self._rate_pps
+
+    @property
+    def decision_times_us(self) -> Sequence[float]:
+        """Decision timestamps, for throughput timelines: a read-only view
+        of :attr:`latency_series`' times."""
+        return self.latency_series.times
 
     def start_closed_loop(self, window: int) -> None:
         """Keep ``window`` requests outstanding; each decision triggers the
@@ -157,6 +161,5 @@ class PaxosClient(Node):
         latency = self.sim.now - submitted
         self.latency.record(latency)
         self.latency_series.record(self.sim.now, latency)
-        self.decision_times_us.append(self.sim.now)
         if self._window and len(self._outstanding) < self._window:
             self._submit_new()

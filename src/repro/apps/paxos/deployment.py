@@ -291,9 +291,6 @@ class PaxosDeployment:
             raise ConfigurationError(f"duplicate leader node {node_name!r}")
         self._leaders[node_name] = role
 
-    def leader_role(self, node_name: str):
-        return self._leaders[node_name]
-
     def activate_leader(self, node_name: str) -> None:
         """Route the logical leader to ``node_name`` and start phase 1."""
         if node_name not in self._leaders:

@@ -19,7 +19,6 @@ Safety argument (standard multi-Paxos):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...errors import ProtocolError
@@ -47,6 +46,11 @@ def majority(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: A windowed acceptor lets its vote log reach this many recovery windows
+#: before it drops the votes no phase-1B report can carry again.
+_PRUNE_WINDOWS = 2
+
+
 class AcceptorState:
     """One Paxos acceptor.
 
@@ -56,6 +60,17 @@ class AcceptorState:
     in any real deployment, and reporting the full log would make the §9.2
     leader shift re-propose tens of thousands of settled instances.  The
     safety property tests run with ``recovery_window=None`` (report all).
+
+    What it keeps: the promised round, the last voted instance, and
+    ``votes`` (instance → (round, value)).  Without a window that is every
+    vote.  With one, a vote at or below ``last_voted − window`` can never
+    be reported again, since that floor only rises; once the log holds
+    more than ``_PRUNE_WINDOWS`` windows the acceptor keeps only the
+    reportable votes, so it holds at most twice the window.  The pruning
+    is exact: the kept votes stay in insertion order, so every phase-1B
+    report is the dict an unpruned acceptor would send, key order
+    included, and a late vote for a dropped instance lands at or below
+    the floor, where no report can see it.
     """
 
     def __init__(self, acceptor_id: str, recovery_window: Optional[int] = None):
@@ -94,6 +109,9 @@ class AcceptorState:
         self.votes[msg.instance] = (msg.round, msg.value)
         if msg.instance > self.last_voted_instance:
             self.last_voted_instance = msg.instance
+        window = self.recovery_window
+        if window is not None and len(self.votes) > _PRUNE_WINDOWS * window:
+            self.votes = self._reportable_votes()
         return Phase2B(
             round=msg.round,
             instance=msg.instance,
@@ -236,25 +254,36 @@ class LeaderState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _InstanceTally:
-    """Vote bookkeeping for one instance."""
-
-    #: round -> set of acceptors that voted that round
-    voters: Dict[int, Set[str]] = field(default_factory=dict)
-    #: round -> value proposed in that round (must be unique per round)
-    values: Dict[int, object] = field(default_factory=dict)
-    chosen: Optional[object] = None
-
-
 class LearnerState:
-    """A Paxos learner: declares decisions, delivers in order, finds gaps."""
+    """A Paxos learner: declares decisions, delivers in order, finds gaps.
+
+    What it keeps, and why each piece is still read:
+
+    * ``decided`` (instance → chosen value): delivery, gap scans and the
+      safety oracle read it;
+    * the value of every (round, instance) it has seen a vote for: a
+      later vote in that round with another value raises "two values in
+      round r";
+    * the voters of a (round, instance) while the instance is undecided,
+      and after that only for a round whose value differs from the
+      chosen one: that is the only round whose quorum can still raise
+      "chose two values".  A vote for the chosen value on a decided
+      instance is settled at once — whatever round it is in, its quorum
+      could only confirm the decision.
+
+    Both maps are keyed by round first: a leader keeps one round for
+    thousands of instances, so each vote costs one slot in its round's
+    dict rather than a dict of its own.
+    """
 
     def __init__(self, learner_id: str, n_acceptors: int):
         self.learner_id = learner_id
         self.n_acceptors = n_acceptors
         self.quorum = majority(n_acceptors)
-        self._tallies: Dict[int, _InstanceTally] = {}
+        #: round -> instance -> the value voted in that round
+        self._round_values: Dict[int, Dict[int, object]] = {}
+        #: round -> instance -> acceptors that voted (see the class doc)
+        self._voters: Dict[int, Dict[int, Set[str]]] = {}
         self.decided: Dict[int, object] = {}
         self.delivered_upto = 0
         self.max_decided = 0
@@ -264,28 +293,42 @@ class LearnerState:
 
     def handle_phase2b(self, msg: Phase2B) -> Optional[Decision]:
         """Count a vote; returns a Decision on fresh quorum, else None."""
-        tally = self._tallies.setdefault(msg.instance, _InstanceTally())
-        known = tally.values.get(msg.round)
+        instance, rnd, value = msg.instance, msg.round, msg.value
+        values = self._round_values.get(rnd)
+        if values is None:
+            values = self._round_values[rnd] = {}
+        known = values.get(instance)
         if known is None:
-            tally.values[msg.round] = msg.value
-        elif known != msg.value:
+            values[instance] = value
+        elif known != value:
             raise ProtocolError(
-                f"two values in round {msg.round} of instance {msg.instance}: "
-                f"{known!r} vs {msg.value!r}"
+                f"two values in round {rnd} of instance {instance}: "
+                f"{known!r} vs {value!r}"
             )
-        voters = tally.voters.setdefault(msg.round, set())
-        voters.add(msg.acceptor)
-        if len(voters) < self.quorum or msg.instance in self.decided:
+        decided = self.decided
+        if instance in decided and decided[instance] == value:
             return None
-        if tally.chosen is not None and tally.chosen != msg.value:
+        voters_by_instance = self._voters.get(rnd)
+        if voters_by_instance is None:
+            voters_by_instance = self._voters[rnd] = {}
+        voters = voters_by_instance.get(instance)
+        if voters is None:
+            voters = voters_by_instance[instance] = {msg.acceptor}
+        else:
+            voters.add(msg.acceptor)
+        if len(voters) < self.quorum:
+            return None
+        if instance in decided:
             raise ProtocolError(
-                f"instance {msg.instance} chose two values: "
-                f"{tally.chosen!r} then {msg.value!r}"
+                f"instance {instance} chose two values: "
+                f"{decided[instance]!r} then {value!r}"
             )
-        tally.chosen = msg.value
-        self.decided[msg.instance] = msg.value
-        self.max_decided = max(self.max_decided, msg.instance)
-        return Decision(instance=msg.instance, value=msg.value)
+        decided[instance] = value
+        for r, by_instance in self._voters.items():
+            if instance in by_instance and self._round_values[r][instance] == value:
+                del by_instance[instance]
+        self.max_decided = max(self.max_decided, instance)
+        return Decision(instance=instance, value=value)
 
     # -- in-order delivery ----------------------------------------------------
 

@@ -162,9 +162,6 @@ class FabricController(ShiftController):
         """Placement shifts this controller caused (not steers)."""
         return list(self._shift_times_us)
 
-    def steer_times_us(self) -> List[float]:
-        return [s.time_us for s in self.steers]
-
     def host_rate_pps(self, host: str) -> float:
         return self._host_windows[host].rate_pps(self.sim.now)
 

@@ -140,9 +140,6 @@ class NetFpgaSume:
     def remove_module(self, name: str) -> None:
         self._module(name).remove()
 
-    def clock_gate_module(self, name: str) -> None:
-        self._module(name).clock_gate()
-
     def activate_module(self, name: str) -> None:
         self._module(name).activate()
 

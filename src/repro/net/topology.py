@@ -182,10 +182,6 @@ class Fabric:
                 f"{host_name!r} is not connected to this fabric"
             ) from None
 
-    @property
-    def host_racks(self) -> Dict[str, str]:
-        return dict(self._host_racks)
-
     def connect_host(
         self,
         rack: str,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Union
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import calibration as cal
 from ..apps.common import HardwareService, SoftwareService
@@ -589,7 +589,8 @@ class ScenarioRun:
             client.response_times_us, bucket_us, duration_us
         )
         latency = bucket_mean_series(
-            list(zip(client.latency_series.times, client.latency_series.values)),
+            client.latency_series.times,
+            client.latency_series.values,
             bucket_us,
             duration_us,
         )
@@ -627,17 +628,20 @@ class ScenarioRun:
         self, group: BuiltPaxosGroup, bucket_us: float, duration_us: float
     ) -> PaxosResult:
         clients = group.clients
-        decision_times = sorted(
-            t for client in clients for t in client.decision_times_us
-        )
-        latency_samples = []
+        # one (time, latency) sort merges the clients' series; it also
+        # sets the order of equal-time samples inside a window's mean
+        samples = []
         for client in clients:
-            latency_samples.extend(
+            samples.extend(
                 zip(client.latency_series.times, client.latency_series.values)
             )
-        latency_samples.sort()
+        samples.sort()
+        decision_times = [t for t, _ in samples]
+        latencies = [latency for _, latency in samples]
         throughput = bucket_rate_series(decision_times, bucket_us, duration_us)
-        latency = bucket_mean_series(latency_samples, bucket_us, duration_us)
+        latency = bucket_mean_series(
+            decision_times, latencies, bucket_us, duration_us
+        )
         power = _power_series(group.power_sampler, bucket_us, duration_us)
         # Post-shift stall: the largest decision gap in the 300ms following
         # each shift (in-flight decisions may land just after the rule
@@ -666,9 +670,9 @@ class ScenarioRun:
 
 
 def merge_power_claims(
-    entries: List[Tuple[str, List[float], str, float]],
+    entries: List[Tuple[str, Sequence[float], str, float]],
 ) -> Tuple[
-    Dict[str, List[float]],
+    Dict[str, Sequence[float]],
     Dict[str, Tuple[str, ...]],
     Dict[str, Dict[str, float]],
 ]:
@@ -679,7 +683,7 @@ def merge_power_claims(
     time, so shared hosts reach the split path instead of the last
     claimant silently absorbing the whole draw.
     """
-    samples: Dict[str, List[float]] = {}
+    samples: Dict[str, Sequence[float]] = {}
     claims: Dict[str, Tuple[str, ...]] = {}
     busy: Dict[str, Dict[str, float]] = {}
     for node_name, values, owner, busy_us in entries:
@@ -693,7 +697,7 @@ def merge_power_claims(
 
 
 def attribute_power(
-    samples_by_server: Dict[str, List[float]],
+    samples_by_server: Dict[str, Sequence[float]],
     claims: Dict[str, Tuple[str, ...]],
     busy_us_by_server: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> Tuple[Dict[str, float], float]:
@@ -758,9 +762,7 @@ def _power_series(
     sampler: PeriodicSampler, bucket_us: float, duration_us: float
 ) -> List[Tuple[float, float]]:
     series = bucket_mean_series(
-        list(zip(sampler.series.times, sampler.series.values)),
-        bucket_us,
-        duration_us,
+        sampler.series.times, sampler.series.values, bucket_us, duration_us
     )
     return [(t, v if v is not None else 0.0) for t, v in series]
 

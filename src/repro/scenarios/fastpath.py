@@ -100,6 +100,13 @@ def pinned_steady_eligible(spec: ScenarioSpec) -> bool:
     return _fleet_steady_shape(spec) and _hosts_steady_shape(spec.kvs_hosts)
 
 
+def _not_eligible(spec: ScenarioSpec) -> ConfigurationError:
+    return ConfigurationError(
+        f"scenario {spec.name!r} is not steady-state eligible "
+        "(see scenarios.fastpath.pinned_steady_eligible)"
+    )
+
+
 def _fleet_steady_shape(spec: ScenarioSpec) -> bool:
     """The spec-level half of :func:`pinned_steady_eligible`: KVS hosts
     and nothing else, a phase-free workload."""
@@ -488,10 +495,7 @@ def steady_grid(
                     pinned, spec.fabric, mode, indices
                 )
         if layout is None:
-            raise ConfigurationError(
-                f"scenario {spec.name!r} is not steady-state eligible "
-                "(see scenarios.fastpath.pinned_steady_eligible)"
-            )
+            raise _not_eligible(spec)
         rates = _per_host_rates(spec)
         slot_lo = len(flat_rate)
         flat_rate.extend(
@@ -648,12 +652,15 @@ def validate_fastpath(
     mode)`` and ask the steady model about the same spec, then report the
     relative errors.  Both sides pin the spec themselves, so a grid
     point's own spec and its pinned variants give the same gates.  Raises
-    if the pins are not eligible (:func:`pinned_steady_eligible`); the
-    caller (tests, a cautious sweep user) asserts ``all(g.ok for g in ...)``.
+    before any replay if the pins are not eligible
+    (:func:`pinned_steady_eligible`); the caller (tests, a cautious sweep
+    user) asserts ``all(g.ok for g in ...)``.
     """
     # local import: sweep imports this module for run_sweep(fastpath=True)
     from .sweep import _aggregate, run_pinned
 
+    if not pinned_steady_eligible(spec):
+        raise _not_eligible(spec)
     gates = []
     for mode in _FASTPATH_MODES:
         run, result = run_pinned(spec, mode)

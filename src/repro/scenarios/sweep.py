@@ -447,14 +447,10 @@ def _aggregate(run: ScenarioRun, result: ScenarioResult, mode: str) -> SweepAggr
     achieved_pps = (result.total_responses + decided) / duration_s
     latencies: List[float] = []
     for host in (*run.kvs_hosts, *run.dns_hosts):
-        latencies.extend(
-            v for v in host.client.latency_series.values if v is not None
-        )
+        latencies.extend(host.client.latency_series.values)
     for group in run.paxos_groups:
         for client in group.clients:
-            latencies.extend(
-                v for v in client.latency_series.values if v is not None
-            )
+            latencies.extend(client.latency_series.values)
     total_power_w = result.total_wall_power_w
     if total_power_w <= 0.0 and achieved_pps > 0.0:
         # mirror experiments.sweep.sweep_model: a rack serving traffic on

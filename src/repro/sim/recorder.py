@@ -5,14 +5,17 @@ meter sampled once a second, hardware throughput counters on the LaKe card,
 and the Endace DAG card capturing per-packet latency (§4.1).
 
 Storage is ``array('d')`` (one machine double per sample, no per-sample
-object), and every reduction has one pure-python path.  The window
-reductions (:func:`bucket_rate_series`, :func:`bucket_mean_series`) sort
-their input by time first — Timsort is linear on the time-ordered series
-every caller passes, and stable, so ties keep their input order — and
-then find each window's bounds by bisection on the same ``t // window_us``
-binning a per-sample pass would use.  Every mean adds its values with
-:func:`repro.floats.left_sum`, left to right, so the same run reduces to
-the same bits on every supported Python.
+object), and a run keeps each sample once.  :attr:`TimeSeries.times` and
+:attr:`TimeSeries.values` are read-only views (:class:`ColumnView`) of
+the two columns, not snapshots, so collecting a run copies no series;
+the clients' response and decision time lists are such views of their
+latency series.  The window reductions (:func:`bucket_rate_series`,
+:func:`bucket_mean_series`) take time-ordered columns — every
+:class:`TimeSeries` is, since :meth:`TimeSeries.record` rejects an
+out-of-order sample — and find each window's bounds by bisection on the
+same ``t // window_us`` binning a per-sample pass would use.  Every mean
+adds its values with :func:`repro.floats.left_sum`, left to right, so the
+same run reduces to the same bits on every supported Python.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import islice
+from operator import gt
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..floats import left_sum
@@ -69,22 +74,47 @@ class Sample:
     value: float
 
 
+class ColumnView(SequenceABC):
+    """A read-only view of one recorder column.
+
+    ``len``, indexing and iteration read the live ``array('d')`` in place:
+    nothing is copied, and a view taken mid-run sees later samples too.
+    A slice is a copy (an ``array('d')``).
+    """
+
+    __slots__ = ("_column",)
+
+    def __init__(self, column: array):
+        self._column = column
+
+    def __len__(self) -> int:
+        return len(self._column)
+
+    def __getitem__(self, index):
+        return self._column[index]
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._column)
+
+    def __repr__(self) -> str:
+        return f"ColumnView({self._column.tolist()!r})"
+
+
 class TimeSeries:
     """An append-only (time, value) series with window queries.
 
     Used for power meters, throughput counters and controller telemetry.
     Backed by two ``array('d')`` columns: 8 bytes per sample per column,
-    no per-sample boxing, and slices hand contiguous buffers straight to
-    the reduction kernels.
+    no per-sample boxing, and nothing else — readers get views, never a
+    cached copy.
     """
+
+    __slots__ = ("name", "_times", "_values")
 
     def __init__(self, name: str = "series"):
         self.name = name
         self._times = array("d")
         self._values = array("d")
-        # cached immutable snapshots; invalidated (by length) on append
-        self._times_view: Tuple[float, ...] = ()
-        self._values_view: Tuple[float, ...] = ()
 
     def __len__(self) -> int:
         return len(self._times)
@@ -99,23 +129,14 @@ class TimeSeries:
         self._values.append(value)
 
     @property
-    def times(self) -> Tuple[float, ...]:
-        """Immutable snapshot of the sample times.
-
-        Cached between appends: repeated property reads in reduction
-        loops are O(1), not an O(n) copy per access.  (The series is
-        append-only, so a length check is a complete staleness test.)
-        """
-        if len(self._times_view) != len(self._times):
-            self._times_view = tuple(self._times)
-        return self._times_view
+    def times(self) -> ColumnView:
+        """The sample times, non-decreasing: a read-only view, no copy."""
+        return ColumnView(self._times)
 
     @property
-    def values(self) -> Tuple[float, ...]:
-        """Immutable snapshot of the sample values (see :attr:`times`)."""
-        if len(self._values_view) != len(self._values):
-            self._values_view = tuple(self._values)
-        return self._values_view
+    def values(self) -> ColumnView:
+        """The sample values, in time order: a read-only view, no copy."""
+        return ColumnView(self._values)
 
     def last(self) -> Optional[Sample]:
         if not self._times:
@@ -243,6 +264,10 @@ def _window_ends(
     pass would use — so times before 0 or past the last window fall in
     none.
     """
+    if not window_us > 0:
+        raise ConfigurationError("window must be positive")
+    if any(map(gt, times, islice(times, 1, None))):
+        raise ConfigurationError("window reductions need time-ordered samples")
     bin_of = lambda t: t // window_us  # noqa: E731
     lo = hi = bisect_left(times, 0, key=bin_of)
     ends = []
@@ -255,14 +280,12 @@ def _window_ends(
 def bucket_rate_series(
     times_us: Sequence[float], window_us: float, end_us: float
 ) -> List[Tuple[float, float]]:
-    """Convert event timestamps into a (t_us, rate_pps) series.
+    """Convert time-ordered event timestamps into a (t_us, rate_pps) series.
 
     Used to turn client response timestamps into the throughput timelines
     of Figures 6 and 7 (and the rack-scale scenarios).
     """
-    if not window_us > 0:
-        raise ConfigurationError("window must be positive")
-    lo, ends = _window_ends(sorted(times_us), window_us, end_us)
+    lo, ends = _window_ends(times_us, window_us, end_us)
     series = []
     for i, hi in enumerate(ends):
         series.append((i * window_us, (hi - lo) * SEC / window_us))
@@ -271,21 +294,22 @@ def bucket_rate_series(
 
 
 def bucket_mean_series(
-    samples: Sequence[Tuple[float, float]], window_us: float, end_us: float
+    times_us: Sequence[float],
+    values: Sequence[float],
+    window_us: float,
+    end_us: float,
 ) -> List[Tuple[float, Optional[float]]]:
-    """Average (t_us, value) samples into fixed windows (None when empty).
+    """Average a time-ordered series into fixed windows (None when empty).
 
-    Samples at equal times keep their input order, so on time-ordered
-    input each window adds exactly the values a per-sample pass would, in
-    the same order.
+    ``times_us[i]`` is the time of ``values[i]``.  Each window adds its
+    values left to right in series order — exactly the values, and the
+    order, of a per-sample pass.
     """
-    if not window_us > 0:
-        raise ConfigurationError("window must be positive")
-    ordered = sorted(samples, key=itemgetter(0))
-    lo, ends = _window_ends(
-        list(map(itemgetter(0), ordered)), window_us, end_us
-    )
-    values = list(map(itemgetter(1), ordered))
+    if len(times_us) != len(values):
+        raise ConfigurationError(
+            f"{len(times_us)} sample times for {len(values)} values"
+        )
+    lo, ends = _window_ends(times_us, window_us, end_us)
     series: List[Tuple[float, Optional[float]]] = []
     for i, hi in enumerate(ends):
         if hi > lo:

@@ -53,16 +53,6 @@ def emu_standalone_model() -> HardwareCardModel:
     )
 
 
-def dns_hardware_model(device: str = "netfpga-sume") -> HardwareCardModel:
-    """The DNS hardware curve on a named offload device — Emu on the
-    default NetFPGA, the device's own power figures otherwise (the per-
-    device Figure 3(c) generalization)."""
-    # lazy: repro.steady.ondemand imports this module
-    from .ondemand import device_hardware_model
-
-    return device_hardware_model("dns", device)
-
-
 def dns_models() -> Dict[str, SteadyModel]:
     """The Figure 3(c) curve set."""
     return {

@@ -87,16 +87,6 @@ def lake_standalone_model(pe_count: int = cal.LAKE_DEFAULT_PES) -> HardwareCardM
     )
 
 
-def kvs_hardware_model(device: str = "netfpga-sume") -> HardwareCardModel:
-    """The KVS hardware curve on a named offload device — LaKe on the
-    default NetFPGA, the device's own power figures otherwise (the per-
-    device Figure 3(a) generalization)."""
-    # lazy: repro.steady.ondemand imports this module
-    from .ondemand import device_hardware_model
-
-    return device_hardware_model("kvs", device)
-
-
 def kvs_models(
     nic: Nic = NIC_MELLANOX_CX311A, miss_ratio: float = 0.0
 ) -> Dict[str, SteadyModel]:

@@ -88,16 +88,6 @@ def p4xos_standalone_model(role: PaxosRole = PaxosRole.ACCEPTOR) -> HardwareCard
     )
 
 
-def paxos_hardware_model(device: str = "netfpga-sume") -> HardwareCardModel:
-    """The Paxos-leader hardware curve on a named offload device — P4xos on
-    the default NetFPGA, the device's own power figures otherwise (the
-    per-device Figure 3(b) generalization)."""
-    # lazy: repro.steady.ondemand imports this module
-    from .ondemand import device_hardware_model
-
-    return device_hardware_model("paxos", device)
-
-
 def paxos_models(role: PaxosRole = PaxosRole.ACCEPTOR) -> Dict[str, SteadyModel]:
     """The Figure 3(b) curve set for one role."""
     return {

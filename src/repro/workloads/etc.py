@@ -61,9 +61,6 @@ class ZipfSampler:
     def _h(self, x: float) -> float:
         return (x ** (1.0 - self.s)) / (1.0 - self.s)
 
-    def _h_inv(self, x: float) -> float:
-        return (x * (1.0 - self.s)) ** (1.0 / (1.0 - self.s))
-
     def sample(self) -> int:
         """A rank in 1..n, rank 1 most popular."""
         rand = self._rng.random
@@ -106,13 +103,22 @@ _ETC_VALUE_SIZE_CDF = [
 ]
 
 
+#: One value object per size class, built once: values are immutable and
+#: only their length matters, so every store, SET request and preload
+#: shares these seven objects instead of holding a copy per key.
+_ETC_VALUES = [(cum, b"v" * size) for size, cum in _ETC_VALUE_SIZE_CDF]
+
+
 def _sample_value(rng: random.Random) -> bytes:
-    """One ETC-distributed value (shared by the full and sharded workloads)."""
+    """One ETC-distributed value (shared by the full and sharded workloads).
+
+    Draws exactly one ``rng.random()`` per value.
+    """
     u = rng.random()
-    for size, cum in _ETC_VALUE_SIZE_CDF:
+    for cum, value in _ETC_VALUES:
         if u <= cum:
-            return b"v" * size
-    return b"v" * _ETC_VALUE_SIZE_CDF[-1][0]  # pragma: no cover
+            return value
+    return _ETC_VALUES[-1][1]  # pragma: no cover
 
 
 class EtcWorkload:

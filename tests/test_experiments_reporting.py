@@ -40,8 +40,10 @@ class TestBucketSeries:
         assert len(series) == 4
 
     def test_mean_buckets_with_gaps(self):
-        samples = [(10_000.0, 5.0), (20_000.0, 15.0), (250_000.0, 7.0)]
-        series = bucket_mean_series(samples, msec(100.0), msec(300.0))
+        times = [10_000.0, 20_000.0, 250_000.0]
+        series = bucket_mean_series(
+            times, [5.0, 15.0, 7.0], msec(100.0), msec(300.0)
+        )
         assert series[0][1] == pytest.approx(10.0)
         assert series[1][1] is None
         assert series[2][1] == pytest.approx(7.0)

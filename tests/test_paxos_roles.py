@@ -1,11 +1,14 @@
 """Paxos role state machines (direct-call protocol tests)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.paxos import (
     AcceptorState,
     ClientCommand,
     ClientRequest,
+    Decision,
     GapRequest,
     LeaderState,
     LearnerState,
@@ -209,3 +212,206 @@ class TestLearner:
         learner.handle_phase2b(Phase2B(16, 1, "a0", "v"))
         with pytest.raises(ProtocolError):
             learner.handle_phase2b(Phase2B(16, 1, "a1", "DIFFERENT"))
+
+    def test_second_quorum_for_another_value_raises(self):
+        """A later round's quorum for a different value on a decided
+        instance is a safety violation, not a duplicate to ignore."""
+        from repro.apps.paxos import Phase2B
+
+        learner = LearnerState("l", 3)
+        learner.handle_phase2b(Phase2B(16, 1, "a0", "A"))
+        assert learner.handle_phase2b(Phase2B(16, 1, "a1", "A")) is not None
+        assert learner.handle_phase2b(Phase2B(32, 1, "a1", "B")) is None
+        with pytest.raises(ProtocolError, match="chose two values"):
+            learner.handle_phase2b(Phase2B(32, 1, "a2", "B"))
+
+    def test_late_quorum_in_an_earlier_round_raises(self):
+        """Round 16 voted "A" once before round 32 chose "B": a second
+        round-16 vote completes a quorum for another value."""
+        from repro.apps.paxos import Phase2B
+
+        learner = LearnerState("l", 3)
+        learner.handle_phase2b(Phase2B(16, 1, "a0", "A"))
+        learner.handle_phase2b(Phase2B(32, 1, "a1", "B"))
+        assert learner.handle_phase2b(Phase2B(32, 1, "a2", "B")) is not None
+        with pytest.raises(ProtocolError, match="chose two values"):
+            learner.handle_phase2b(Phase2B(16, 1, "a1", "A"))
+
+    def test_later_quorum_for_the_chosen_value_is_silent(self):
+        from repro.apps.paxos import Phase2B
+
+        learner = LearnerState("l", 3)
+        learner.handle_phase2b(Phase2B(16, 1, "a0", "A"))
+        assert learner.handle_phase2b(Phase2B(16, 1, "a1", "A")) is not None
+        for vote in (
+            Phase2B(16, 1, "a2", "A"),  # the late third vote
+            Phase2B(32, 1, "a0", "A"),  # a re-proposal's quorum
+            Phase2B(32, 1, "a1", "A"),
+            Phase2B(32, 1, "a2", "A"),
+        ):
+            assert learner.handle_phase2b(vote) is None
+        assert learner.decided == {1: "A"}
+        assert [d.instance for d in learner.deliverable()] == [1]
+
+    def test_decided_instances_keep_voters_only_for_conflicting_rounds(self):
+        from repro.apps.paxos import Phase2B
+
+        learner = LearnerState("l", 3)
+        for acceptor in ("a0", "a1", "a2"):  # decided, every vote arrives
+            learner.handle_phase2b(Phase2B(16, 1, acceptor, "A"))
+        learner.handle_phase2b(Phase2B(16, 2, "a0", "B"))  # re-proposed as is
+        learner.handle_phase2b(Phase2B(32, 2, "a0", "B"))
+        learner.handle_phase2b(Phase2B(32, 2, "a1", "B"))
+        learner.handle_phase2b(Phase2B(16, 3, "a0", "C"))  # another value
+        learner.handle_phase2b(Phase2B(32, 3, "a1", "D"))
+        learner.handle_phase2b(Phase2B(32, 3, "a2", "D"))
+        learner.handle_phase2b(Phase2B(32, 4, "a0", "E"))  # undecided
+
+        def voter_sets(instance):
+            return {
+                rnd: voters[instance]
+                for rnd, voters in learner._voters.items()
+                if instance in voters
+            }
+
+        assert learner.decided == {1: "A", 2: "B", 3: "D"}
+        assert voter_sets(1) == voter_sets(2) == {}
+        assert voter_sets(3) == {16: {"a0"}}  # the round that can still raise
+        assert voter_sets(4) == {32: {"a0"}}
+        # the per-round values stay for the "two values in round r" check
+        with pytest.raises(ProtocolError, match="two values in round 16"):
+            learner.handle_phase2b(Phase2B(16, 1, "a0", "other"))
+
+
+class _FullTallyLearner:
+    """The learner before compaction, with the live "chose two values"
+    check: every (instance, round) keeps its voters and value forever."""
+
+    def __init__(self, quorum):
+        self.quorum = quorum
+        self.values = {}
+        self.voters = {}
+        self.decided = {}
+
+    def handle_phase2b(self, msg):
+        key = (msg.instance, msg.round)
+        known = self.values.get(key)
+        if known is None:
+            self.values[key] = msg.value
+        elif known != msg.value:
+            raise ProtocolError(
+                f"two values in round {msg.round} of instance {msg.instance}: "
+                f"{known!r} vs {msg.value!r}"
+            )
+        voters = self.voters.setdefault(key, set())
+        voters.add(msg.acceptor)
+        if len(voters) < self.quorum:
+            return None
+        chosen = self.decided.get(msg.instance)
+        if chosen is not None:
+            if chosen != msg.value:
+                raise ProtocolError(
+                    f"instance {msg.instance} chose two values: "
+                    f"{chosen!r} then {msg.value!r}"
+                )
+            return None
+        self.decided[msg.instance] = msg.value
+        return Decision(instance=msg.instance, value=msg.value)
+
+
+def _outcome(learner, vote):
+    try:
+        return learner.handle_phase2b(vote)
+    except ProtocolError as exc:
+        return f"raised: {exc}"
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_compact_learner_answers_every_vote_like_a_full_tally(data):
+    """Random votes over a few rounds, instances and values, conflicts
+    included: the compact learner returns, decides and raises exactly
+    where a learner that forgets nothing does."""
+    from repro.apps.paxos import Phase2B
+
+    n_acceptors = data.draw(st.sampled_from([1, 3, 5]), label="n_acceptors")
+    compact = LearnerState("l", n_acceptors)
+    full = _FullTallyLearner(majority(n_acceptors))
+    rounds, instances = (16, 17, 32, 48), (1, 2, 3, 4)
+    # each (round, instance) proposes one of two values, so rounds can
+    # disagree; a rare stray value breaks the one-value-per-round rule
+    proposed = {
+        (rnd, instance): data.draw(st.sampled_from("AB"))
+        for rnd in rounds
+        for instance in instances
+    }
+    steps = st.tuples(
+        st.sampled_from(rounds),
+        st.sampled_from(instances),
+        st.integers(0, n_acceptors - 1),
+        st.integers(0, 30),
+    )
+    for rnd, instance, acceptor, stray in data.draw(
+        st.lists(steps, max_size=60), label="votes"
+    ):
+        value = "C" if stray == 0 else proposed[rnd, instance]
+        vote = Phase2B(rnd, instance, f"a{acceptor}", value)
+        want = _outcome(full, vote)
+        assert _outcome(compact, vote) == want
+        if isinstance(want, str):
+            break
+    assert compact.decided == full.decided
+
+
+@given(st.integers(1, 16), st.randoms(use_true_random=True))
+@settings(max_examples=150, deadline=None)
+def test_windowed_acceptor_reports_what_an_unpruned_one_does(window, rng):
+    """Fed ten windows of in-order, out-of-order, gap and late votes, with
+    promises in between, a windowed acceptor holds at most two windows
+    and every phase-1B report equals an unpruned acceptor's, key order
+    included."""
+    pruned = AcceptorState("a", recovery_window=window)
+    full = AcceptorState("a")  # keeps every vote; the window filters below
+
+    def check_report(rnd):
+        got = pruned.handle_phase1a(Phase1A(rnd, "L"))
+        want = full.handle_phase1a(Phase1A(rnd, "L"))
+        floor = want.last_voted_instance - window
+        expected = {i: v for i, v in want.votes.items() if i > floor}
+        assert got.votes == expected
+        assert list(got.votes) == list(expected)
+        assert got.last_voted_instance == want.last_voted_instance
+
+    rnd, top = 16, 0
+    for step in range(10 * window):
+        kind = rng.choice(["next", "next", "gap", "late", "promise"])
+        if kind == "promise":
+            rnd += 16
+            check_report(rnd)
+        if kind == "gap":
+            instance = top + rng.randint(2, 2 * window + 2)
+        elif kind == "late":
+            instance = rng.randint(1, top + 1)
+        else:
+            instance = top + 1
+        top = max(top, instance)
+        vote = Phase2A(rnd, instance, f"v{step}")
+        assert pruned.handle_phase2a(vote) == full.handle_phase2a(vote)
+        assert len(pruned.votes) <= 2 * window
+    check_report(rnd + 16)
+
+
+def test_windowed_acceptor_bounds_a_long_in_order_log():
+    acceptor = AcceptorState("a", recovery_window=512)
+    for instance in range(1, 5_121):
+        acceptor.handle_phase2a(Phase2A(16, instance, f"v{instance}"))
+        assert len(acceptor.votes) <= 1_024
+    promise = acceptor.handle_phase1a(Phase1A(32, "L"))
+    assert list(promise.votes) == list(range(4_609, 5_121))
+
+
+def test_unwindowed_acceptor_keeps_every_vote():
+    acceptor = AcceptorState("a")
+    for instance in range(1, 2_001):
+        acceptor.handle_phase2a(Phase2A(16, instance, "v"))
+    assert len(acceptor.votes) == 2_000

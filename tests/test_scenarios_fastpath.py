@@ -115,6 +115,29 @@ def test_fastpath_gate_holds_against_des():
         )
 
 
+@pytest.mark.parametrize(
+    "base, overrides",
+    [
+        ("rack-mixed", {"duration_s": 0.5}),  # Paxos and DNS beside KVS
+        ("fig6-kvs-netctl", {}),  # a phased workload
+        ("fabric-kvs-crossrack", {}),  # a served_by shard donation
+    ],
+)
+def test_fastpath_gate_refuses_before_any_replay(monkeypatch, base, overrides):
+    """An ineligible spec fails at once, with the steady model's error,
+    instead of after replaying a pin's whole DES."""
+    from repro.scenarios import sweep
+
+    def no_replay(spec, mode):
+        raise AssertionError(f"replayed the {mode} pin")
+
+    monkeypatch.setattr(sweep, "run_pinned", no_replay)
+    spec = build_spec(base, **overrides)
+    assert not pinned_steady_eligible(spec)
+    with pytest.raises(ConfigurationError, match="not steady-state eligible"):
+        validate_fastpath(spec)
+
+
 # -- the sweep integration --------------------------------------------------
 
 

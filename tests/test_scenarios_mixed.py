@@ -266,3 +266,52 @@ def test_shift_back_keeps_each_hosts_own_power_save():
         idle_w[name] = host.card.power_w()
     assert idle_w["k0"] < idle_w["k1"]
     assert idle_w["d1"] < idle_w["d0"]
+
+
+def test_collect_reads_the_recorders_in_place(monkeypatch):
+    """A short rack-mixed run keeps one copy of each sample: after
+    execute(), every TimeSeries holds its name and two columns and
+    nothing else, and the clients' time views equal the lists the
+    clients used to append on every counted reply."""
+    import gc
+
+    from repro.apps.dns.client import DnsClient
+    from repro.apps.kvs.client import KvsClient
+    from repro.apps.paxos.client import PaxosClient
+    from repro.sim import TimeSeries
+
+    appended = {}  # client name -> the times its old list held
+
+    def tap(cls, counter):
+        receive = cls.receive
+
+        def tapped(self, packet):
+            before = getattr(self, counter)
+            receive(self, packet)
+            if getattr(self, counter) > before:
+                appended.setdefault(self.name, []).append(self.sim.now)
+
+        monkeypatch.setattr(cls, "receive", tapped)
+
+    tap(KvsClient, "responses")
+    tap(DnsClient, "responses")
+    tap(PaxosClient, "decided")
+    run = ScenarioBuilder(build_spec("rack-mixed", duration_s=0.5)).build()
+    run.execute()
+
+    hosts = (*run.kvs_hosts, *run.dns_hosts)
+    for client in (host.client for host in hosts):
+        assert appended[client.name]
+        assert list(client.response_times_us) == appended[client.name]
+    for client in (c for group in run.paxos_groups for c in group.clients):
+        assert appended[client.name]
+        assert list(client.decision_times_us) == appended[client.name]
+    series = [obj for obj in gc.get_objects() if isinstance(obj, TimeSeries)]
+    assert len(series) > len(hosts)
+    for one in series:
+        held = [obj for obj in gc.get_referents(one) if obj is not TimeSeries]
+        assert sorted(type(obj).__name__ for obj in held) == [
+            "array",
+            "array",
+            "str",
+        ], one.name

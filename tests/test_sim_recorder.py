@@ -102,22 +102,32 @@ class TestTimeSeries:
         ts.record(sec(10.0), 100.0)
         assert ts.integrate_seconds() == pytest.approx(500.0)
 
-    def test_views_are_immutable_tuples(self):
+    def test_views_are_read_only(self):
         ts = TimeSeries()
         ts.record(1.0, 10.0)
         ts.record(2.0, 20.0)
-        assert ts.times == (1.0, 2.0)
-        assert ts.values == (10.0, 20.0)
-        assert isinstance(ts.times, tuple)
+        assert list(ts.times) == [1.0, 2.0]
+        assert list(ts.values) == [10.0, 20.0]
+        assert ts.values[-1] == 20.0 and len(ts.times) == 2
+        with pytest.raises(TypeError):
+            ts.times[0] = 5.0
+        assert not hasattr(ts.values, "append")
+        # a slice is a copy: writing to it leaves the series alone
+        head = ts.times[:1]
+        head[0] = 5.0
+        assert list(ts.times) == [1.0, 2.0]
 
-    def test_views_cached_between_appends(self):
+    def test_views_read_the_live_columns(self):
+        """A view is no snapshot: one taken before an append sees it, and
+        the series keeps nothing besides its name and two columns."""
         ts = TimeSeries()
         ts.record(1.0, 10.0)
-        first = ts.times
-        assert ts.times is first  # repeated reads are O(1), no re-copy
+        times, values = ts.times, ts.values
         ts.record(2.0, 20.0)
-        assert ts.times == (1.0, 2.0)  # refreshed after an append
-        assert ts.values == (10.0, 20.0)
+        assert list(times) == [1.0, 2.0]
+        assert list(values) == [10.0, 20.0]
+        assert not hasattr(ts, "__dict__")
+        assert TimeSeries.__slots__ == ("name", "_times", "_values")
 
 
 class TestLeftToRightTotals:
@@ -144,8 +154,9 @@ class TestLeftToRightTotals:
         assert rec.mean() == 1.0 / 3
 
     def test_bucket_mean_series(self):
-        samples = list(enumerate(self.CANCELLING))
-        assert bucket_mean_series(samples, 10.0, 10.0)[0] == (0.0, 0.0)
+        times = [0.0, 1.0, 2.0]
+        series = bucket_mean_series(times, self.CANCELLING, 10.0, 10.0)
+        assert series[0] == (0.0, 0.0)
 
     def test_windowed_mean(self):
         series = list(enumerate(self.CANCELLING))
@@ -323,38 +334,69 @@ class TestOrderAwareReductions:
     def test_time_ordered_means_match_the_oracle(self, case):
         samples, window_us, end_us = case
         samples.sort(key=lambda s: s[0])  # stable: ties keep draw order
-        assert bucket_mean_series(samples, window_us, end_us) == (
+        times = [t for t, _ in samples]
+        values = [v for _, v in samples]
+        assert bucket_mean_series(times, values, window_us, end_us) == (
             _bucket_mean_oracle(samples, window_us, end_us)
         )
 
+    @given(_timed_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_series_views_reduce_like_the_list_path(self, case):
+        """A TimeSeries' column views, read in place, reduce to the very
+        bits (``repr``, so -0.0 counts) the per-sample list passes give,
+        equal-time ties included."""
+        samples, window_us, end_us = case
+        samples.sort(key=lambda s: s[0])  # stable: ties keep draw order
+        ts = TimeSeries()
+        for t, v in samples:
+            ts.record(t, v)
+        times = [t for t, _ in samples]
+        assert repr(bucket_rate_series(ts.times, window_us, end_us)) == repr(
+            _bucket_rate_oracle(times, window_us, end_us)
+        )
+        assert repr(
+            bucket_mean_series(ts.times, ts.values, window_us, end_us)
+        ) == repr(_bucket_mean_oracle(samples, window_us, end_us))
+
     @given(_timed_samples(), st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
-    def test_unsorted_input_is_sorted_first(self, case, rng):
+    def test_out_of_order_input_is_rejected(self, case, rng):
+        """The reductions bisect, so they take time-ordered input only and
+        refuse anything else rather than bin it wrongly."""
         samples, window_us, end_us = case
         rng.shuffle(samples)
         times = [t for t, _ in samples]
-        assert bucket_rate_series(times, window_us, end_us) == (
-            _bucket_rate_oracle(times, window_us, end_us)
-        )
-        by_time = sorted(samples, key=lambda s: s[0])
-        assert bucket_mean_series(samples, window_us, end_us) == (
-            _bucket_mean_oracle(by_time, window_us, end_us)
-        )
+        values = [v for _, v in samples]
+        if times == sorted(times):
+            assert bucket_rate_series(times, window_us, end_us) == (
+                _bucket_rate_oracle(times, window_us, end_us)
+            )
+            return
+        with pytest.raises(ConfigurationError, match="time-ordered"):
+            bucket_rate_series(times, window_us, end_us)
+        with pytest.raises(ConfigurationError, match="time-ordered"):
+            bucket_mean_series(times, values, window_us, end_us)
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(ConfigurationError, match="2 sample times for 1"):
+            bucket_mean_series([1.0, 2.0], [1.0], 10.0, 10.0)
 
     def test_empty_input_gives_empty_windows(self):
         assert bucket_rate_series([], 10.0, 25.0) == [
             (0.0, 0.0), (10.0, 0.0), (20.0, 0.0)
         ]
-        assert bucket_mean_series([], 10.0, 25.0) == [
+        assert bucket_mean_series([], [], 10.0, 25.0) == [
             (0.0, None), (10.0, None), (20.0, None)
         ]
 
     def test_window_longer_than_the_horizon(self):
         # one window, [0, 100): the sample at t=100 opens the next one,
         # which lies past the horizon
-        samples = [(0.0, 1.0), (3.0, 2.0), (99.0, 4.0), (100.0, 8.0)]
-        assert bucket_mean_series(samples, 100.0, 5.0) == [(0.0, 7.0 / 3)]
-        assert bucket_rate_series([t for t, _ in samples], 100.0, 5.0) == [
+        times = [0.0, 3.0, 99.0, 100.0]
+        values = [1.0, 2.0, 4.0, 8.0]
+        assert bucket_mean_series(times, values, 100.0, 5.0) == [(0.0, 7.0 / 3)]
+        assert bucket_rate_series(times, 100.0, 5.0) == [
             (0.0, 3 * SEC / 100.0)
         ]
 
@@ -372,4 +414,4 @@ class TestOrderAwareReductions:
         with pytest.raises(ConfigurationError, match="window must be positive"):
             bucket_rate_series([1.0], window_us, 10.0)
         with pytest.raises(ConfigurationError, match="window must be positive"):
-            bucket_mean_series([(1.0, 1.0)], window_us, 10.0)
+            bucket_mean_series([1.0], [1.0], window_us, 10.0)

@@ -62,6 +62,33 @@ class TestEtcWorkload:
         assert small / len(sizes) > 0.80
         assert max(sizes) <= 4096
 
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_values_share_one_object_per_size(self, seed):
+        """Values come from seven shared objects, one per size class, and
+        each draw still takes one ``random()`` and picks the size the
+        per-call ``b"v" * size`` path picked."""
+        from repro.workloads import ShardedEtcWorkload
+        from repro.workloads.etc import _ETC_VALUE_SIZE_CDF
+
+        def old_value(rng):
+            u = rng.random()
+            for size, cum in _ETC_VALUE_SIZE_CDF:
+                if u <= cum:
+                    return b"v" * size
+
+        shared = EtcWorkload(seed=seed)
+        oracle = random.Random(seed)
+        values = [shared.value() for _ in range(10_000)]
+        assert len({id(v) for v in values}) <= 7
+        assert [len(v) for v in values] == [
+            len(old_value(oracle)) for _ in range(10_000)
+        ]
+        assert all(v == b"v" * len(v) for v in values)
+        # the draws leave both RNGs in step, so later keys match too
+        assert shared.rng.getstate() == oracle.getstate()
+        stream = ShardedEtcWorkload(keyspace=1_000, n_shards=2).stream(0)
+        assert len({id(stream.value()) for _ in range(2_000)}) <= 7
+
     def test_read_dominated(self):
         etc = EtcWorkload()
         assert etc.set_fraction == pytest.approx(0.03, abs=0.001)
