@@ -32,9 +32,10 @@ class DnsClient(Node):
         self.name_sampler = name_sampler
         self._rng = rng
         self._ids = itertools.count(1)
-        self.latency = LatencyRecorder(f"{name}.latency")
         #: (response time, latency) samples for timeline plots
         self.latency_series = TimeSeries(f"{name}.latency-series")
+        #: latency statistics over the series' value column
+        self.latency = LatencyRecorder(f"{name}.latency", self.latency_series)
         self.responses = 0
         self.resolved = 0
         self.nxdomain = 0
@@ -92,8 +93,7 @@ class DnsClient(Node):
             return
         self.responses += 1
         age = packet.age_us(self.sim.now)
-        self.latency.record(age)
-        self.latency_series.record(self.sim.now, age)
+        self.latency.record(age, self.sim.now)
         if response.rcode is DnsRcode.NOERROR:
             self.resolved += 1
         elif response.rcode is DnsRcode.NXDOMAIN:

@@ -45,9 +45,10 @@ class KvsClient(Node):
         self.set_fraction = set_fraction
         self._rng = rng
         self._ids = itertools.count(1)
-        self.latency = LatencyRecorder(f"{name}.latency")
         #: (response time, latency) samples for timeline plots (Figure 6)
         self.latency_series = TimeSeries(f"{name}.latency-series")
+        #: latency statistics over the series' value column
+        self.latency = LatencyRecorder(f"{name}.latency", self.latency_series)
         self.responses = 0
         self.hits = 0
         self.misses = 0
@@ -129,8 +130,7 @@ class KvsClient(Node):
         self.responses += 1
         now = self.sim._now
         latency = now - packet.created_us
-        self.latency.record(latency)
-        self.latency_series.record(now, latency)
+        self.latency.record(latency, now)
         status = response.status
         if status is KvsStatus.HIT:
             self.hits += 1

@@ -49,9 +49,10 @@ class PaxosClient(Node):
         #: request_id -> first-submission time (for end-to-end latency)
         self._outstanding: Dict[int, float] = {}
         self._timeout_events: Dict[int, object] = {}
-        self.latency = LatencyRecorder(f"{name}.latency")
         #: (decision time, latency) samples for timeline plots (Figure 7)
         self.latency_series = TimeSeries(f"{name}.latency-series")
+        #: latency statistics over the series' value column
+        self.latency = LatencyRecorder(f"{name}.latency", self.latency_series)
         self.decided = 0
         self.retries = 0
         self.dropped_backpressure = 0
@@ -159,7 +160,6 @@ class PaxosClient(Node):
             event.cancel()
         self.decided += 1
         latency = self.sim.now - submitted
-        self.latency.record(latency)
-        self.latency_series.record(self.sim.now, latency)
+        self.latency.record(latency, self.sim.now)
         if self._window and len(self._outstanding) < self._window:
             self._submit_new()

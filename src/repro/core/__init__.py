@@ -15,29 +15,46 @@ plus the §8 energy analysis (:mod:`repro.core.energy_model`) and a placement
 advisor (:mod:`repro.core.placement`).
 """
 
-from .window import SlidingWindowRate, SlidingWindowMean
-from .controller import (
-    CONTROLLER_KINDS,
-    PAXOS_CONTROLLER_KINDS,
-    ServiceShiftController,
-    ShiftController,
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".window": ("SlidingWindowRate", "SlidingWindowMean"),
+        ".controller": (
+            "CONTROLLER_KINDS",
+            "PAXOS_CONTROLLER_KINDS",
+            "ServiceShiftController",
+            "ShiftController",
+        ),
+        ".fabric_controller": (
+            "FABRIC_CONTROLLER_KINDS",
+            "FabricController",
+            "FabricControllerConfig",
+            "HostPlacement",
+            "SteerEvent",
+        ),
+        ".hysteresis": ("HysteresisSwitch", "Thresholds"),
+        ".network_controller": (
+            "NetworkController",
+            "NetworkControllerConfig",
+        ),
+        ".host_controller": ("HostController", "HostControllerConfig"),
+        ".paxos_controller": ("PaxosShiftController",),
+        ".predictive_controller": (
+            "PredictiveController",
+            "PredictiveControllerConfig",
+        ),
+        ".energy_model": (
+            "TippingPointAnalysis",
+            "tipping_point",
+            "tor_switch_analysis",
+        ),
+        ".ondemand": ("OnDemandService", "Placement"),
+        ".placement": ("PlacementAdvisor", "PlatformRecommendation"),
+        ".shift_strategy": ("ShiftStrategy", "ShiftStrategyModel"),
+    },
 )
-from .fabric_controller import (
-    FABRIC_CONTROLLER_KINDS,
-    FabricController,
-    FabricControllerConfig,
-    HostPlacement,
-    SteerEvent,
-)
-from .hysteresis import HysteresisSwitch, Thresholds
-from .network_controller import NetworkController, NetworkControllerConfig
-from .host_controller import HostController, HostControllerConfig
-from .paxos_controller import PaxosShiftController
-from .predictive_controller import PredictiveController, PredictiveControllerConfig
-from .energy_model import TippingPointAnalysis, tipping_point, tor_switch_analysis
-from .ondemand import OnDemandService, Placement
-from .placement import PlacementAdvisor, PlatformRecommendation
-from .shift_strategy import ShiftStrategy, ShiftStrategyModel
 
 __all__ = [
     "CONTROLLER_KINDS",

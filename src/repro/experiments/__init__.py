@@ -7,11 +7,27 @@ runner returns a result object with the raw series plus a ``render()``
 method that prints the rows/series the paper reports.
 """
 
-from .reporting import format_table, bucket_rate_series
-from .sweep import SweepPoint, sweep_model, sweep_models
-from . import figures
-from .plots import matplotlib_available, save_sweep_png, save_transition_png
-from .transitions import run_figure6, run_figure7, Figure6Result, Figure7Result
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".reporting": ("format_table", "bucket_rate_series"),
+        ".sweep": ("SweepPoint", "sweep_model", "sweep_models"),
+        ".": ("figures",),
+        ".plots": (
+            "matplotlib_available",
+            "save_sweep_png",
+            "save_transition_png",
+        ),
+        ".transitions": (
+            "run_figure6",
+            "run_figure7",
+            "Figure6Result",
+            "Figure7Result",
+        ),
+    },
+)
 
 __all__ = [
     "format_table",

@@ -6,10 +6,22 @@ counters, per-core activation costs, and the kernel-stack vs DPDK driver
 distinction that dominates the Paxos software power curves (§4.3).
 """
 
-from .cpu import CpuAccount, CoreAllocation
-from .nic import Nic, NIC_INTEL_X520, NIC_MELLANOX_CX311A
-from .rapl import RaplDomain, RaplReader
-from .server import Server, make_i7_server, make_xeon_2660_server, make_xeon_2637_server
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".cpu": ("CpuAccount", "CoreAllocation"),
+        ".nic": ("Nic", "NIC_INTEL_X520", "NIC_MELLANOX_CX311A"),
+        ".rapl": ("RaplDomain", "RaplReader"),
+        ".server": (
+            "Server",
+            "make_i7_server",
+            "make_xeon_2660_server",
+            "make_xeon_2637_server",
+        ),
+    },
+)
 
 __all__ = [
     "CpuAccount",

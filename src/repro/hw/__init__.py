@@ -11,21 +11,28 @@
   the device is a declarative scenario axis.
 """
 
-from .memory import BramBank, DramChannel, SramBank, MemoryState
-from .fpga import FpgaModule, ModuleState, NetFpgaSume, PlatformMode
-from .asic import TofinoProgram, TofinoSwitch
-from .smartnic import SmartNic, SMARTNIC_ARCHETYPES
-from .virtualization import TenantProgram, VirtualizedCard
-from .device import (
-    DEFAULT_DEVICE_KIND,
-    OffloadDevice,
-    SmartNicCard,
-    closest_device,
-    device_descriptions,
-    device_names,
-    device_profiles,
-    get_device,
-    register_device,
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".memory": ("BramBank", "DramChannel", "SramBank", "MemoryState"),
+        ".fpga": ("FpgaModule", "ModuleState", "NetFpgaSume", "PlatformMode"),
+        ".asic": ("TofinoProgram", "TofinoSwitch"),
+        ".smartnic": ("SmartNic", "SMARTNIC_ARCHETYPES"),
+        ".virtualization": ("TenantProgram", "VirtualizedCard"),
+        ".device": (
+            "DEFAULT_DEVICE_KIND",
+            "OffloadDevice",
+            "SmartNicCard",
+            "closest_device",
+            "device_descriptions",
+            "device_names",
+            "device_profiles",
+            "get_device",
+            "register_device",
+        ),
+    },
 )
 
 __all__ = [

@@ -7,18 +7,25 @@ a programmable switch whose forwarding table the Paxos on-demand controller
 rewrites (§9.2).
 """
 
-from .packet import Packet, TrafficClass
-from .link import Link, LinkFaults
-from .node import Node
-from .switch import ForwardingRule, Switch
-from .classifier import (
-    PacketClassifier,
-    ClassifierRule,
-    KeyShardRouter,
-    RouterFleet,
-    key_shard,
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".packet": ("Packet", "TrafficClass"),
+        ".link": ("Link", "LinkFaults"),
+        ".node": ("Node",),
+        ".switch": ("ForwardingRule", "Switch"),
+        ".classifier": (
+            "PacketClassifier",
+            "ClassifierRule",
+            "KeyShardRouter",
+            "RouterFleet",
+            "key_shard",
+        ),
+        ".topology": ("Fabric", "Topology", "build_fabric", "star_topology"),
+    },
 )
-from .topology import Fabric, Topology, build_fabric, star_topology
 
 __all__ = [
     "Fabric",

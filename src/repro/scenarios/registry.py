@@ -44,14 +44,13 @@ rack-scale extensions all live here:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 # shared with the sweep and device registries and the CLI suggestions;
 # re-exported here because this was its historical home
 from ..naming import closest_name
 from ..units import sec
-from .builder import ScenarioBuilder, ScenarioResult
 from .spec import (
     NO_CONTROLLER,
     ColocatedJobSpec,
@@ -67,6 +66,9 @@ from .spec import (
     ScenarioSpec,
     UplinkSpec,
 )
+
+if TYPE_CHECKING:
+    from .builder import ScenarioResult
 
 SpecFactory = Callable[..., ScenarioSpec]
 
@@ -128,6 +130,8 @@ def build_spec(name: str, **overrides) -> ScenarioSpec:
 
 def run_scenario(name: str, **overrides) -> ScenarioResult:
     """Build and execute a named scenario."""
+    from .builder import ScenarioBuilder
+
     return ScenarioBuilder(build_spec(name, **overrides)).run()
 
 

@@ -6,18 +6,25 @@ which also carry every periodic loop).  Everything in the
 network/host/hardware substrates builds on :class:`Simulator`.
 """
 
-from .kernel import Event, Simulator
-from .queues import FifoQueue, QueueStats
-from .recorder import (
-    LatencyRecorder,
-    PeriodicSampler,
-    TimeSeries,
-    bucket_mean_series,
-    bucket_rate_series,
-    percentile,
-    percentiles,
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".kernel": ("Event", "Simulator"),
+        ".queues": ("FifoQueue", "QueueStats"),
+        ".recorder": (
+            "LatencyRecorder",
+            "PeriodicSampler",
+            "TimeSeries",
+            "bucket_mean_series",
+            "bucket_rate_series",
+            "percentile",
+            "percentiles",
+        ),
+        ".rng": ("RngStreams",),
+    },
 )
-from .rng import RngStreams
 
 __all__ = [
     "Event",

@@ -185,71 +185,96 @@ class TimeSeries:
 class LatencyRecorder:
     """Collects per-request latencies and reports distribution statistics.
 
-    Samples live in one ``array('d')``; the ascending view is maintained
-    *incrementally* — appends since the last query are sorted on their own
-    and merged into the cached run (two ascending runs: one Timsort merge
-    pass), so append-mostly workloads never pay a full re-sort.
+    A standalone recorder keeps its samples in one ``array('d')``.  A
+    recorder over a :class:`TimeSeries` (``series=``) keeps none of its
+    own: :meth:`record` appends ``(time_us, latency_us)`` to the series,
+    and the statistics read the series' value column, so a client's
+    latency statistics and its latency timeline share one copy of every
+    sample.  :meth:`reset` forgets the samples so far; over a series it
+    leaves the series whole and reads only what comes after.
+
+    The ascending view is maintained *incrementally* — appends since the
+    last query are sorted on their own and merged into the cached run
+    (two ascending runs: one Timsort merge pass), so append-mostly
+    workloads never pay a full re-sort.
     """
 
-    def __init__(self, name: str = "latency"):
+    def __init__(self, name: str = "latency", series: Optional[TimeSeries] = None):
         self.name = name
-        self._samples = array("d")
+        self._series = series
+        self._samples = array("d") if series is None else series._values
+        #: the first sample after the last reset
+        self._start = 0
         # sorted-view cache: median()+p99() on the same snapshot cost one
         # sort, not two; _sorted_len marks how many samples it covers
         self._sorted: List[float] = []
         self._sorted_len = 0
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self._samples) - self._start
 
-    def record(self, latency_us: float) -> None:
+    def record(self, latency_us: float, time_us: Optional[float] = None) -> None:
+        """Append one latency; a recorder over a series needs its
+        ``time_us`` too."""
         if latency_us < 0:
             raise ConfigurationError("negative latency recorded")
-        self._samples.append(latency_us)
+        if self._series is None:
+            self._samples.append(latency_us)
+        else:
+            self._series.record(time_us, latency_us)
 
     def extend(self, values: Sequence[float]) -> None:
-        """Bulk append; all-or-nothing (no partial append on a bad value)."""
+        """Bulk append; all-or-nothing (no partial append on a bad value).
+        Standalone recorders only: a series needs a time per sample."""
+        if self._series is not None:
+            raise ConfigurationError(
+                f"{self.name!r} records into a series; use record()"
+            )
         staged = array("d", values)
         if staged and min(staged) < 0:
             raise ConfigurationError("negative latency recorded")
         self._samples.extend(staged)
 
+    def _recorded(self) -> Sequence[float]:
+        """The samples since the last reset, in record order."""
+        return self._samples[self._start:] if self._start else self._samples
+
     @property
     def samples(self) -> List[float]:
-        return list(self._samples)
+        return list(self._recorded())
 
     def sorted_samples(self) -> List[float]:
         """The samples in ascending order (cache merged incrementally)."""
         n = len(self._samples)
         if self._sorted_len != n:
-            if not self._sorted:
-                self._sorted = sorted(self._samples)
-            else:
-                merged = self._sorted + sorted(self._samples[self._sorted_len:])
-                merged.sort()  # two ascending runs -> single merge pass
-                self._sorted = merged
+            fresh = sorted(self._samples[self._sorted_len:])
+            if self._sorted:
+                fresh = self._sorted + fresh
+                fresh.sort()  # two ascending runs -> single merge pass
+            self._sorted = fresh
             self._sorted_len = n
         return self._sorted
 
     def mean(self) -> float:
-        if not self._samples:
+        if not len(self):
             raise ValueError("no latency samples")
-        return left_sum(self._samples) / len(self._samples)
+        return left_sum(self._recorded()) / len(self)
 
     def median(self) -> float:
-        if not self._samples:
+        if not len(self):
             raise ValueError("percentile of empty sequence")
         return percentile(self.sorted_samples(), 50.0, presorted=True)
 
     def p99(self) -> float:
-        if not self._samples:
+        if not len(self):
             raise ValueError("percentile of empty sequence")
         return percentile(self.sorted_samples(), 99.0, presorted=True)
 
     def reset(self) -> None:
-        self._samples = array("d")
+        if self._series is None:
+            del self._samples[:]
+        self._start = self._sorted_len = len(self._samples)
         self._sorted = []
-        self._sorted_len = 0
 
 
 def _window_ends(

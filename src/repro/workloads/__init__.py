@@ -13,15 +13,26 @@
   the §9.3 offload-candidate analysis.
 """
 
-from .etc import EtcWorkload, EtcShardStream, ShardedEtcWorkload
-from .dns import DnsNameWorkload, DnsShardStream, ShardedDnsWorkload
-from .colocated import ChainerMNWorkload
-from .dynamo import DynamoTraceSynthesizer, PowerVariationAnalysis, analyze_power_variation
-from .google_trace import (
-    GoogleTraceSynthesizer,
-    GoogleTraceAnalysis,
-    Task,
-    analyze_offload_candidates,
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".etc": ("EtcWorkload", "EtcShardStream", "ShardedEtcWorkload"),
+        ".dns": ("DnsNameWorkload", "DnsShardStream", "ShardedDnsWorkload"),
+        ".colocated": ("ChainerMNWorkload",),
+        ".dynamo": (
+            "DynamoTraceSynthesizer",
+            "PowerVariationAnalysis",
+            "analyze_power_variation",
+        ),
+        ".google_trace": (
+            "GoogleTraceSynthesizer",
+            "GoogleTraceAnalysis",
+            "Task",
+            "analyze_offload_candidates",
+        ),
+    },
 )
 
 __all__ = [

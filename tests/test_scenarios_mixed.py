@@ -315,3 +315,26 @@ def test_collect_reads_the_recorders_in_place(monkeypatch):
             "array",
             "str",
         ], one.name
+
+
+def test_each_client_stores_its_latencies_once():
+    """``client.latency`` reads the latency series' value column: every
+    client type keeps one copy of each latency, and its statistics are
+    the series' own."""
+    from repro.sim import percentile
+
+    run = ScenarioBuilder(build_spec("rack-mixed", duration_s=0.1)).build()
+    run.execute()
+    clients = [host.client for host in (*run.kvs_hosts, *run.dns_hosts)]
+    clients += [c for group in run.paxos_groups for c in group.clients]
+    assert {type(c).__name__ for c in clients} == {
+        "KvsClient",
+        "DnsClient",
+        "PaxosClient",
+    }
+    for client in clients:
+        values = list(client.latency_series.values)
+        assert len(client.latency) == len(values) > 0
+        assert client.latency._samples is client.latency_series._values
+        assert client.latency.median() == percentile(values, 50.0)
+        assert client.latency.p99() == percentile(values, 99.0)

@@ -187,6 +187,64 @@ class TestLatencyRecorder:
         assert len(rec) == 0
 
 
+class TestLatencyRecorderOverASeries:
+    """A client's recorder reads its latency series' value column: one
+    stored copy of each sample, the same statistics."""
+
+    def recorded(self, latencies):
+        series = TimeSeries("latency-series")
+        rec = LatencyRecorder("latency", series)
+        for t, latency in enumerate(latencies):
+            rec.record(latency, float(t))
+        return series, rec
+
+    def test_records_into_the_series_once(self):
+        series, rec = self.recorded([4.0, 1.0, 3.0])
+        assert list(series.times) == [0.0, 1.0, 2.0]
+        assert list(series.values) == [4.0, 1.0, 3.0]
+        assert rec._samples is series._values
+
+    def test_statistics_match_a_standalone_recorder(self):
+        import random
+
+        rng = random.Random(5)
+        latencies = [rng.uniform(0.0, 500.0) for _ in range(101)]
+        _, rec = self.recorded(latencies)
+        alone = LatencyRecorder()
+        alone.extend(latencies)
+        assert len(rec) == len(alone) == 101
+        assert rec.samples == alone.samples
+        assert rec.mean() == alone.mean()
+        assert rec.median() == alone.median()
+        assert rec.p99() == alone.p99()
+
+    def test_negative_rejected_before_the_series_records(self):
+        series, rec = self.recorded([2.0])
+        with pytest.raises(ConfigurationError):
+            rec.record(-1.0, 5.0)
+        assert len(series) == 1
+
+    def test_reset_keeps_the_series(self):
+        series, rec = self.recorded([9.0, 8.0])
+        assert rec.median() == 8.0
+        rec.reset()
+        assert len(rec) == 0
+        with pytest.raises(ValueError):
+            rec.median()
+        rec.record(1.0, 3.0)
+        rec.record(2.0, 4.0)
+        assert rec.samples == [1.0, 2.0]
+        assert rec.sorted_samples() == [1.0, 2.0]
+        assert rec.mean() == 1.5
+        assert list(series.values) == [9.0, 8.0, 1.0, 2.0]
+
+    def test_extend_is_refused(self):
+        series, rec = self.recorded([1.0])
+        with pytest.raises(ConfigurationError):
+            rec.extend([2.0])
+        assert len(series) == len(rec) == 1
+
+
 class TestPeriodicSampler:
     def test_samples_at_interval(self):
         sim = Simulator()

@@ -1,9 +1,10 @@
 """The sweep executor internals: spec-materialization cache, the by-value
 memos of pinned placements and steady host layouts, persistent worker
-pool, chunked pin-level dispatch through the pool, a dead worker, and the
-fastpath eligibility precheck."""
+pool, chunked pin-level dispatch through the pool, what a worker holds
+between pins, a dead worker, and the fastpath eligibility precheck."""
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from repro.scenarios import (
     NO_CONTROLLER,
     KvsHostSpec,
     KvsWorkloadSpec,
+    ScenarioRun,
     ScenarioSpec,
     ScenarioSweepSpec,
     SweepAxis,
@@ -42,8 +44,11 @@ from repro.scenarios.sweep import (
     _auto_chunksize,
     _get_pool,
     _materialize,
+    _pin_tasks,
     _pinned_placements,
+    _replay_chunk,
 )
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -418,6 +423,76 @@ def test_each_des_point_dispatches_one_task_per_pin(name, overrides, pins):
     result = run_sweep(spec, workers=2)
     assert result.des_points_run == len(spec.points())
     assert executor_stats()["tasks_dispatched"] == pins * len(spec.points())
+
+
+# -- what a worker holds between pins ---------------------------------------
+
+
+def live(*types):
+    return [obj for obj in gc.get_objects() if isinstance(obj, types)]
+
+
+def test_replay_chunk_frees_each_finished_replay(monkeypatch):
+    scenario = build_spec("rack-kvs", n_hosts=1, duration_s=0.05, keyspace=2_000)
+    tasks = _pin_tasks((0, 0), {}, scenario)[:2]
+    assert [(t.mode, t.evaluator) for t in tasks] == [
+        ("software", "des"),
+        ("hardware", "des"),
+    ]
+    gc.collect()
+    before = live(Simulator, ScenarioRun)
+
+    def runs_alive():
+        return [
+            o for o in live(Simulator, ScenarioRun) if not any(o is b for b in before)
+        ]
+
+    # each replay starts with no earlier run alive
+    alive_at_start = []
+    replay = sweep_module._replay
+
+    def watched(task):
+        alive_at_start.append(len(runs_alive()))
+        return replay(task)
+
+    monkeypatch.setattr(sweep_module, "_replay", watched)
+    # with automatic collection off, only _replay_chunk's own collections
+    # can free the runs' reference cycles
+    gc.disable()
+    try:
+        aggregates = _replay_chunk(tasks)
+    finally:
+        gc.enable()
+    assert [agg.mode for agg in aggregates] == ["software", "hardware"]
+    assert alive_at_start == [0, 0]
+    assert runs_alive() == []
+
+
+def worker_gc_state():
+    """Runs in a pool worker: its frozen object count and live Simulators
+    (``gc.get_objects()`` skips frozen objects)."""
+    return gc.get_freeze_count(), len(live(Simulator))
+
+
+def test_pool_workers_freeze_at_start_and_hold_no_finished_replay():
+    spec = build_sweep_spec(
+        "sweep-rack-kvs",
+        hosts=(1,),
+        rates_kpps=(8.0, 16.0),
+        duration_s=0.05,
+        keyspace=2_000,
+    )
+    try:
+        reset_executor_stats()
+        run_sweep(spec, workers=2)
+        assert executor_stats()["tasks_dispatched"] == 6
+        pool = _get_pool(2)
+        states = [pool.submit(worker_gc_state).result(timeout=60) for _ in range(2)]
+    finally:
+        shutdown_executor()
+    for frozen, simulators in states:
+        assert frozen > 0
+        assert simulators == 0
 
 
 # The sweep runs in a child interpreter: its pool forks where no other
