@@ -21,7 +21,7 @@ import pathlib
 import sys
 
 from .errors import ConfigurationError
-from .experiments import figures, run_figure6, run_figure7
+from .experiments import figures
 from .hw.device import device_descriptions
 from .scenarios import (
     closest_scenario,
@@ -51,12 +51,17 @@ def _scenario(name):
 
 
 def _figure6(args):
+    # the replaying figures import on use: an analytic command loads no DES
+    from .experiments import run_figure6
+
     result = run_figure6(duration_s=args.duration or 10.0)
     _maybe_png(args, "figure6", result)
     return result.render()
 
 
 def _figure7(args):
+    from .experiments import run_figure7
+
     result = run_figure7(duration_s=args.duration or 5.0)
     _maybe_png(args, "figure7", result)
     return result.render()

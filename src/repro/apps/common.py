@@ -61,6 +61,13 @@ class SoftwareService:
     network, the software copy sits idle (its queue is bypassed upstream by
     the classifier, but stray packets are still served — the paper's LaKe
     miss path relies on that).
+
+    An idle service with an empty queue starts a request on arrival, and
+    the queue counts it in and out in one step
+    (:meth:`~repro.sim.FifoQueue.pass_through`), so its statistics end as
+    a push and a pop would leave them.  Replies and protocol messages
+    leave through :meth:`transmit`, which hands them to the server's
+    egress with the stack latency (:meth:`~repro.net.node.Node.send_after`).
     """
 
     def __init__(
@@ -108,7 +115,9 @@ class SoftwareService:
     def offer(self, packet: Packet) -> None:
         """Entry point: queue a request (drop-tail on overload)."""
         self.rx += 1
-        if self.queue.push(packet):
+        if not self._busy and self.queue.pass_through():
+            self._serve(packet)  # idle: straight into service
+        elif self.queue.push(packet):
             if not self._busy:
                 self._start_service()
         else:
@@ -119,6 +128,9 @@ class SoftwareService:
         if packet is None:
             self._busy = False
             return
+        self._serve(packet)
+
+    def _serve(self, packet: Packet) -> None:
         self._busy = True
         # hot path: service_time_us and util.add_busy inlined
         duration = SEC / self.capacity_pps
@@ -136,23 +148,23 @@ class SoftwareService:
         self._start_service()
 
     def _send_reply(self, request: Packet, payload) -> None:
-        reply = make_packet(
-            src=self.server.name,
-            dst=request.src,
-            traffic_class=request.traffic_class,
-            payload=payload,
-            size_bytes=request.size_bytes,
-            now=request.created_us,  # preserve for end-to-end latency
-            dport=request.dport,
+        # created_us is preserved for end-to-end latency
+        self.transmit(
+            make_packet(
+                self.server.name,
+                request.src,
+                request.traffic_class,
+                payload,
+                request.created_us,
+                request.dport,
+                request.size_bytes,
+            )
         )
-        self.transmit(reply)
 
     def transmit(self, packet: Packet) -> None:
         """Send a packet after the software stack's pipeline latency."""
         if self.extra_latency_us > 0:
-            self.sim.schedule_call(
-                self.extra_latency_us, self.server.send, packet
-            )
+            self.server.send_after(self.extra_latency_us, packet)
         else:
             self.server.send(packet)
 

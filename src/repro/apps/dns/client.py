@@ -14,6 +14,10 @@ from .message import DnsQuery, DnsResponse, DnsRcode
 
 DNS_PORT = 53
 
+# bound once for the per-query paths (see message.py)
+_DNS = TrafficClass.DNS
+_NOERROR, _NXDOMAIN = DnsRcode.NOERROR, DnsRcode.NXDOMAIN
+
 
 class DnsClient(Node):
     """Sends DNS queries at a controlled rate; records replies."""
@@ -74,29 +78,32 @@ class DnsClient(Node):
         self.set_rate(0.0)
 
     def _send_one(self) -> None:
-        query = DnsQuery(name=self.name_sampler(), query_id=next(self._ids))
-        packet = make_packet(
-            src=self.name,
-            dst=self.server_name,
-            traffic_class=TrafficClass.DNS,
-            payload=query,
-            now=self.sim.now,
-            dport=DNS_PORT,
-            size_bytes=query.size_bytes,
+        query = DnsQuery(self.name_sampler(), next(self._ids))
+        self.send(
+            make_packet(
+                self.name,
+                self.server_name,
+                _DNS,
+                query,
+                self.sim._now,
+                DNS_PORT,
+                query.size_bytes,
+            )
         )
-        self.send(packet)
 
     def receive(self, packet: Packet) -> None:
-        super().receive(packet)
+        # hot path: Node.receive and packet.age_us inlined
+        self.rx_packets += 1
         response = packet.payload
         if not isinstance(response, DnsResponse):
             return
         self.responses += 1
-        age = packet.age_us(self.sim.now)
-        self.latency.record(age, self.sim.now)
-        if response.rcode is DnsRcode.NOERROR:
+        now = self.sim._now
+        self.latency.record(now - packet.created_us, now)
+        rcode = response.rcode
+        if rcode is _NOERROR:
             self.resolved += 1
-        elif response.rcode is DnsRcode.NXDOMAIN:
+        elif rcode is _NXDOMAIN:
             self.nxdomain += 1
         # the reply terminates here; recycle its shell
         release_packet(packet)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from ...errors import ProtocolError
@@ -17,8 +18,15 @@ MAX_NAME_LENGTH = 253
 MAX_LABEL_LENGTH = 63
 
 
+@lru_cache(maxsize=8192)
 def validate_name(name: str) -> str:
-    """Normalize and validate a DNS name; returns the lowercase form."""
+    """Normalize and validate a DNS name; returns the lowercase form.
+
+    Memoized: a zone's names (at most 4,096 on Emu) and its out-of-zone
+    misses are validated once each, and every query for them is answered
+    from the cache.  A name that fails raises, and is not cached, so it
+    raises every time.
+    """
     if not name:
         raise ProtocolError("empty DNS name")
     normalized = name.rstrip(".").lower()
@@ -38,6 +46,11 @@ class DnsRcode(enum.Enum):
     NOTIMP = 4       # e.g. recursive queries, unsupported types
 
 
+# bound once for the per-query constructor below: on 3.10 and 3.11 reading
+# an enum member off its class costs ~150 ns, a module global ~15 ns
+_NOERROR = DnsRcode.NOERROR
+
+
 @dataclass(frozen=True)
 class ARecord:
     """An address record in the zone."""
@@ -55,33 +68,50 @@ class ARecord:
             raise ProtocolError("negative TTL")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DnsQuery:
-    """A client query."""
+    """A client query.
+
+    One is built per query, so ``__init__`` is hand-written, like
+    :class:`~repro.apps.kvs.protocol.KvsRequest`'s: it validates, then fills
+    ``__dict__`` in one update.
+    """
 
     name: str
     query_id: int = 0
     recursive: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "name", validate_name(self.name))
+    def __init__(self, name: str, query_id: int = 0, recursive: bool = False):
+        self.__dict__.update(
+            name=validate_name(name), query_id=query_id, recursive=recursive
+        )
 
     @property
     def size_bytes(self) -> int:
         return 40 + len(self.name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DnsResponse:
-    """A server response."""
+    """A server response (hand-written ``__init__`` like
+    :class:`DnsQuery`: one is built per served query)."""
 
     rcode: DnsRcode
     name: str
     record: Optional[ARecord] = None
     query_id: int = 0
 
-    def __post_init__(self):
-        if self.rcode is DnsRcode.NOERROR and self.record is None:
+    def __init__(
+        self,
+        rcode: DnsRcode,
+        name: str,
+        record: Optional[ARecord] = None,
+        query_id: int = 0,
+    ):
+        if rcode is _NOERROR and record is None:
             raise ProtocolError("NOERROR response requires a record")
-        if self.rcode is not DnsRcode.NOERROR and self.record is not None:
-            raise ProtocolError(f"{self.rcode.name} must not carry a record")
+        if rcode is not _NOERROR and record is not None:
+            raise ProtocolError(f"{rcode.name} must not carry a record")
+        self.__dict__.update(
+            rcode=rcode, name=name, record=record, query_id=query_id
+        )

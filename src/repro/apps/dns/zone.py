@@ -7,6 +7,9 @@ from typing import Dict, Iterable, Optional
 from ...errors import ConfigurationError
 from .message import ARecord, DnsQuery, DnsRcode, DnsResponse, validate_name
 
+# bound once for the per-query path (see message.py)
+_NOERROR, _NXDOMAIN = DnsRcode.NOERROR, DnsRcode.NXDOMAIN
+
 
 class ZoneTable:
     """An authoritative name → IPv4 resolution table.
@@ -56,7 +59,5 @@ class ZoneTable:
             return DnsResponse(DnsRcode.NOTIMP, query.name, query_id=query.query_id)
         record = self._records.get(query.name)
         if record is None:
-            return DnsResponse(DnsRcode.NXDOMAIN, query.name, query_id=query.query_id)
-        return DnsResponse(
-            DnsRcode.NOERROR, query.name, record=record, query_id=query.query_id
-        )
+            return DnsResponse(_NXDOMAIN, query.name, None, query.query_id)
+        return DnsResponse(_NOERROR, query.name, record, query.query_id)

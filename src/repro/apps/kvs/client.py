@@ -21,6 +21,11 @@ from .protocol import KvsOp, KvsRequest, KvsResponse, KvsStatus
 
 KVS_PORT = 11211
 
+# bound once for the per-request paths (see protocol.py)
+_GET, _SET = KvsOp.GET, KvsOp.SET
+_HIT, _MISS = KvsStatus.HIT, KvsStatus.MISS
+_MEMCACHED = TrafficClass.MEMCACHED
+
 
 class KvsClient(Node):
     """Sends KVS requests at a controlled rate; records replies."""
@@ -99,25 +104,21 @@ class KvsClient(Node):
         )
         if is_set:
             request = KvsRequest(
-                KvsOp.SET,
-                self.key_sampler(),
-                value=self.value_sampler(),
-                request_id=next(self._ids),
+                _SET, self.key_sampler(), self.value_sampler(), next(self._ids)
             )
         else:
-            request = KvsRequest(
-                KvsOp.GET, self.key_sampler(), request_id=next(self._ids)
+            request = KvsRequest(_GET, self.key_sampler(), None, next(self._ids))
+        self.send(
+            make_packet(
+                self.name,
+                self.server_name,
+                _MEMCACHED,
+                request,
+                self.sim._now,
+                KVS_PORT,
+                request.size_bytes,
             )
-        packet = make_packet(
-            src=self.name,
-            dst=self.server_name,
-            traffic_class=TrafficClass.MEMCACHED,
-            payload=request,
-            now=self.sim._now,
-            dport=KVS_PORT,
-            size_bytes=request.size_bytes,
         )
-        self.send(packet)
 
     # -- response handling -----------------------------------------------------
 
@@ -132,9 +133,9 @@ class KvsClient(Node):
         latency = now - packet.created_us
         self.latency.record(latency, now)
         status = response.status
-        if status is KvsStatus.HIT:
+        if status is _HIT:
             self.hits += 1
-        elif status is KvsStatus.MISS:
+        elif status is _MISS:
             self.misses += 1
         # the reply terminates here; recycle its shell
         release_packet(packet)

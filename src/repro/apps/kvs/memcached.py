@@ -22,6 +22,10 @@ from .store import LruStore
 #: workloads we replay (the host has 64GB RAM, §4.1).
 SOFTWARE_STORE_ENTRIES = 10_000_000
 
+# bound once for the per-request path (see protocol.py)
+_GET, _SET = KvsOp.GET, KvsOp.SET
+_HIT, _MISS, _STORED = KvsStatus.HIT, KvsStatus.MISS, KvsStatus.STORED
+
 
 class SoftwareMemcached(SoftwareService):
     """Memcached running on a host server."""
@@ -63,23 +67,15 @@ class SoftwareMemcached(SoftwareService):
     def execute(self, request: KvsRequest) -> KvsResponse:
         """Protocol logic, callable directly (used by LaKe's miss path and
         by functional tests without the DES)."""
-        if request.op is KvsOp.GET:
+        op = request.op
+        if op is _GET:
             value = self.store.get(request.key)
             if value is None:
-                return KvsResponse(
-                    KvsStatus.MISS, request.key, request_id=request.request_id
-                )
-            return KvsResponse(
-                KvsStatus.HIT,
-                request.key,
-                value=value,
-                request_id=request.request_id,
-            )
-        if request.op is KvsOp.SET:
+                return KvsResponse(_MISS, request.key, None, request.request_id)
+            return KvsResponse(_HIT, request.key, value, request.request_id)
+        if op is _SET:
             self.store.set(request.key, request.value)
-            return KvsResponse(
-                KvsStatus.STORED, request.key, request_id=request.request_id
-            )
+            return KvsResponse(_STORED, request.key, None, request.request_id)
         # DELETE
         existed = self.store.delete(request.key)
         status = KvsStatus.DELETED if existed else KvsStatus.NOT_FOUND

@@ -29,6 +29,14 @@ class KvsStatus(enum.Enum):
     NOT_FOUND = "not_found"
 
 
+# Enum members bound once for the per-request constructors below: on 3.10
+# and 3.11 reading a member off its class costs ~150 ns, a global ~15 ns.
+# The client and memcached bind the members they use the same way.
+_SET = KvsOp.SET
+_HIT = KvsStatus.HIT
+_NO_VALUE = (KvsStatus.MISS, KvsStatus.NOT_FOUND)
+
+
 @dataclass(frozen=True, init=False)
 class KvsRequest:
     """A client request.
@@ -54,9 +62,9 @@ class KvsRequest:
             raise ProtocolError("empty key")
         if len(key) > 250:
             raise ProtocolError("key exceeds memcached's 250-byte limit")
-        if op is KvsOp.SET and value is None:
+        if op is _SET and value is None:
             raise ProtocolError("SET requires a value")
-        if op is not KvsOp.SET and value is not None:
+        if op is not _SET and value is not None:
             raise ProtocolError(f"{op.value} must not carry a value")
         self.__dict__.update(op=op, key=key, value=value, request_id=request_id)
 
@@ -90,9 +98,9 @@ class KvsResponse:
         request_id: int = 0,
         served_by: str = "software",
     ):
-        if status is KvsStatus.HIT and value is None:
+        if status is _HIT and value is None:
             raise ProtocolError("HIT response requires a value")
-        if status in (KvsStatus.MISS, KvsStatus.NOT_FOUND) and value is not None:
+        if status in _NO_VALUE and value is not None:
             raise ProtocolError(f"{status.value} must not carry a value")
         self.__dict__.update(
             status=status,

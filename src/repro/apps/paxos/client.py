@@ -8,6 +8,7 @@ corresponds to, so it is a first-class parameter here.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Dict, Optional, Sequence
 
 from ... import calibration as cal
@@ -18,6 +19,8 @@ from ...sim import LatencyRecorder, Simulator, TimeSeries
 from ...units import SEC, msec
 from .deployment import LOGICAL_LEADER, PAXOS_PORT
 from .messages import ClientCommand, ClientRequest, Decision
+
+_PAXOS = TrafficClass.PAXOS  # bound once (see deployment._PAXOS)
 
 
 class PaxosClient(Node):
@@ -49,6 +52,7 @@ class PaxosClient(Node):
         #: request_id -> first-submission time (for end-to-end latency)
         self._outstanding: Dict[int, float] = {}
         self._timeout_events: Dict[int, object] = {}
+        self._timeout_name = f"{name}.timeout"
         #: (decision time, latency) samples for timeline plots (Figure 7)
         self.latency_series = TimeSeries(f"{name}.latency-series")
         #: latency statistics over the series' value column
@@ -113,24 +117,21 @@ class PaxosClient(Node):
             self.dropped_backpressure += 1
             return
         request_id = next(self._ids)
-        self._outstanding[request_id] = self.sim.now
+        self._outstanding[request_id] = self.sim._now
         self._send(request_id, attempt=1)
 
     def _send(self, request_id: int, attempt: int) -> None:
-        command = ClientCommand(client=self.name, request_id=request_id)
-        packet = make_packet(
-            src=self.name,
-            dst=self.leader_address,
-            traffic_class=TrafficClass.PAXOS,
-            payload=ClientRequest(command=command, attempt=attempt),
-            now=self.sim.now,
-            dport=PAXOS_PORT,
+        request = ClientRequest(ClientCommand(self.name, request_id), attempt)
+        sim = self.sim
+        self.send(
+            make_packet(
+                self.name, self.leader_address, _PAXOS, request, sim._now, PAXOS_PORT
+            )
         )
-        self.send(packet)
-        self._timeout_events[request_id] = self.sim.schedule(
+        self._timeout_events[request_id] = sim.schedule(
             self.timeout_us,
-            lambda rid=request_id, a=attempt: self._on_timeout(rid, a),
-            name=f"{self.name}.timeout",
+            partial(self._on_timeout, request_id, attempt),
+            self._timeout_name,
         )
 
     def _on_timeout(self, request_id: int, attempt: int) -> None:
@@ -142,7 +143,8 @@ class PaxosClient(Node):
     # -- decisions ------------------------------------------------------------
 
     def receive(self, packet: Packet) -> None:
-        super().receive(packet)
+        # hot path: Node.receive inlined
+        self.rx_packets += 1
         decision = packet.payload
         if not isinstance(decision, Decision):
             return
@@ -159,7 +161,7 @@ class PaxosClient(Node):
         if event is not None:
             event.cancel()
         self.decided += 1
-        latency = self.sim.now - submitted
-        self.latency.record(latency, self.sim.now)
+        now = self.sim._now
+        self.latency.record(now - submitted, now)
         if self._window and len(self._outstanding) < self._window:
             self._submit_new()

@@ -10,6 +10,11 @@ by the leader.
 number whenever the acceptor responds to a message" — and as
 :class:`GapRequest`, the learner→leader message asking to re-initiate an
 instance with a potential no-op.
+
+Every message but :class:`Phase1B` (sent only at a takeover) is a slotted
+frozen dataclass: one is built per protocol message, and the leader's
+``proposed`` log, the acceptors' ``votes`` and the learner's ``decided``
+map keep the client commands for the whole run.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Dict, Optional, Tuple
 NOOP = "<no-op>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientCommand:
     """An application command submitted to consensus."""
 
@@ -32,7 +37,7 @@ class ClientCommand:
         return f"cmd({self.client}#{self.request_id})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientRequest:
     """Client → leader: please order this command."""
 
@@ -40,7 +45,7 @@ class ClientRequest:
     attempt: int = 1  # retry counter (client timeout, Figure 7)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phase1A:
     """Leader → acceptors: leadership takeover for all instances."""
 
@@ -64,7 +69,7 @@ class Phase1B:
     last_voted_instance: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phase2A:
     """Leader → acceptors: proposal for one instance."""
 
@@ -73,7 +78,7 @@ class Phase2A:
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phase2B:
     """Acceptor → learners: vote.  Carries the §9.2 piggyback."""
 
@@ -84,7 +89,7 @@ class Phase2B:
     last_voted_instance: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """Learner → client: an instance was decided."""
 
@@ -92,7 +97,7 @@ class Decision:
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapRequest:
     """Learner → leader: re-initiate ``instance`` (§9.2 gap handling)."""
 

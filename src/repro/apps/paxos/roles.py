@@ -113,11 +113,11 @@ class AcceptorState:
         if window is not None and len(self.votes) > _PRUNE_WINDOWS * window:
             self.votes = self._reportable_votes()
         return Phase2B(
-            round=msg.round,
-            instance=msg.instance,
-            acceptor=self.acceptor_id,
-            value=msg.value,
-            last_voted_instance=self.last_voted_instance,
+            msg.round,
+            msg.instance,
+            self.acceptor_id,
+            msg.value,
+            self.last_voted_instance,
         )
 
 
@@ -214,7 +214,7 @@ class LeaderState:
         if not self.ready:
             self.dropped_not_ready += 1
             return None
-        proposal = Phase2A(round=self.round, instance=self.next_instance, value=value)
+        proposal = Phase2A(self.round, self.next_instance, value)
         self.proposed[self.next_instance] = value
         self.next_instance += 1
         self.proposals_sent += 1
@@ -327,8 +327,9 @@ class LearnerState:
         for r, by_instance in self._voters.items():
             if instance in by_instance and self._round_values[r][instance] == value:
                 del by_instance[instance]
-        self.max_decided = max(self.max_decided, instance)
-        return Decision(instance=instance, value=value)
+        if instance > self.max_decided:
+            self.max_decided = instance
+        return Decision(instance, value)
 
     # -- in-order delivery ----------------------------------------------------
 

@@ -84,6 +84,16 @@ class Link:
     ``(time, seq, dst.receive, packet)`` straight onto the simulator's
     heap (the layout :mod:`repro.sim.kernel` documents), ordered exactly
     like a :meth:`~repro.sim.Simulator.schedule_call`.
+
+    ``send_after(delay, packet)`` is the fused send that
+    :meth:`Node.send_after <repro.net.node.Node.send_after>` uses for a
+    software stack's latency: a plain link pushes the arrival at
+    ``(now + delay) + (latency + serialization)`` at once, bit-identical
+    to a ``send`` ``delay`` later, with its ``seq`` drawn at the hand-off.
+    It is ``None`` on queued and faulty links, whose busy-until time and
+    fault draws belong to the real send time.  ``delivered`` and
+    ``packet.hops`` count when the link takes the packet, so on a plain
+    link they include packets still inside the sender's stack.
     """
 
     def __init__(
@@ -136,12 +146,14 @@ class Link:
         self._heap = sim._heap
         self._seq = sim._seq
         self._receive = dst.receive
+        self.send_after = None
         if faulty:
             self.send = self._send_faulty
         elif queueing:
             self.send = self._send_queued
         else:
             self.send = self._send_plain
+            self.send_after = self._send_plain_after
 
     def serialization_us(self, packet: Packet) -> float:
         """Time to put ``packet`` on the wire at this link's bandwidth."""
@@ -162,6 +174,21 @@ class Link:
         heappush(
             self._heap,
             (self.sim._now + delay, next(self._seq), self._receive, packet),
+        )
+
+    def _send_plain_after(self, delay: float, packet: Packet) -> None:
+        # _send_plain ``delay`` from now, in one push: the same two float
+        # additions in the same order as that later send
+        packet.hops += 1
+        self.delivered += 1
+        wire = self.latency_us + packet.size_bytes * 8 / self.bandwidth_bps * 1e6
+        if not delay >= 0 or wire < 0:
+            raise SimulationError(
+                f"cannot schedule into the past (delay={delay}, wire={wire})"
+            )
+        heappush(
+            self._heap,
+            ((self.sim._now + delay) + wire, next(self._seq), self._receive, packet),
         )
 
     def _send_queued(self, packet: Packet) -> None:

@@ -3,6 +3,12 @@
 A :class:`Node` is anything with a name that can receive packets: servers,
 switches, hardware devices, and test sinks.  Delivery is always via
 :meth:`receive`; links call it after their propagation delay.
+
+A sender-side latency before the wire (a software stack's) goes through
+:meth:`Node.send_after`.  On a plain :class:`~repro.net.link.Link` that is
+one step: the link pushes the arrival at ``(now + delay) + link delay``
+at once, the same two float additions in the same order as a send
+``delay`` later, so event times are bit-identical to the two-event path.
 """
 
 from __future__ import annotations
@@ -15,20 +21,36 @@ from .packet import Packet
 
 
 class Node:
-    """A named packet endpoint attached to a simulator."""
+    """A named packet endpoint attached to a simulator.
+
+    ``tx_packets`` counts packets handed to the egress: by :meth:`send`,
+    or by :meth:`send_after` at the hand-off when the egress is a plain
+    link, so a packet still inside the sender's stack at the horizon is
+    already counted.
+    """
 
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
         self._egress: Optional[Callable[[Packet], None]] = None
+        self._egress_after: Optional[Callable[[float, Packet], None]] = None
         self.rx_packets = 0
         self.tx_packets = 0
 
     # -- wiring ---------------------------------------------------------
 
     def attach_egress(self, send: Callable[[Packet], None]) -> None:
-        """Set the function used to transmit packets (usually Link.send)."""
+        """Set the function used to transmit packets (usually Link.send).
+
+        When ``send`` belongs to a :class:`~repro.net.link.Link` that takes
+        a sender-side delay in its own push (``Link.send_after``, a plain
+        link's), :meth:`send_after` hands packets to it directly.
+        """
+        from .link import Link  # link.py imports this module
+
+        link = getattr(send, "__self__", None)
         self._egress = send
+        self._egress_after = link.send_after if isinstance(link, Link) else None
 
     def send(self, packet: Packet) -> None:
         """Transmit a packet through the attached egress."""
@@ -37,6 +59,23 @@ class Node:
             raise ConfigurationError(f"node {self.name!r} has no egress attached")
         self.tx_packets += 1
         egress(packet)
+
+    def send_after(self, delay: float, packet: Packet) -> None:
+        """Transmit ``packet`` after ``delay`` us of sender-side latency.
+
+        A plain link's egress takes the packet now, with the delay, and
+        pushes its arrival as one event.  Any other egress (a queued link's
+        busy-until time, a faulty link's RNG draws, a test callback) must
+        see the real send time, so :meth:`send` runs ``delay`` later as an
+        event of its own; with no egress that send raises
+        :class:`ConfigurationError`.
+        """
+        egress_after = self._egress_after
+        if egress_after is None:
+            self.sim.schedule_call(delay, self.send, packet)
+            return
+        self.tx_packets += 1
+        egress_after(delay, packet)
 
     # -- delivery --------------------------------------------------------
 

@@ -25,7 +25,9 @@ either tier interleave in exactly the order they were scheduled.
 :class:`repro.net.link.Link` is the one writer outside this module: its
 fault-free send variants push ``(time, seq, dst.receive, packet)`` entries
 straight onto ``Simulator._heap``, with ``seq`` from the same counter, so
-a link delivery orders exactly like a :meth:`Simulator.schedule_call`.
+a link delivery orders exactly like a :meth:`Simulator.schedule_call`
+made when the link takes the packet (for the fused ``send_after``, when
+the sender's stack hands it over).
 
 :meth:`Simulator.call_every` runs a periodic loop on the fast tier, one
 ``schedule_call`` entry per tick.  Its handle cannot reach into the heap:
@@ -33,9 +35,20 @@ cancelling it leaves the next tick queued as a no-op, which still counts
 in :attr:`Simulator.pending` and, once the clock reaches it, in
 :attr:`Simulator.events_executed`.
 
-Event cancellation is lazy: a cancelled Event's entry stays queued until
-the run loop reaches and purges it.  :attr:`Simulator.pending` is
-therefore the heap's length minus the cancelled Events still in it.
+Event cancellation is lazy, with a bulk purge: a cancelled Event's entry
+stays queued until the run loop reaches and drops it, or until cancelled
+entries outnumber live ones in a heap above :data:`_PURGE_FLOOR` entries,
+when :meth:`Event.cancel` rebuilds the heap without them.  A protocol that
+arms a long timeout per request and cancels it at the reply (the Paxos
+client's) would otherwise fill the heap with dead entries for the whole
+timeout.  The rebuild filters the list in place, since the run loop and
+every :class:`~repro.net.link.Link` hold it, and entries pop in the same
+strict (time, seq) order from any valid heap, so it changes no run.
+Between two rebuilds there are at least as many cancels as live entries,
+so a cancel costs amortized O(1), and right after a cancel the heap holds
+at most ``max(_PURGE_FLOOR, 2 * pending)`` entries.
+:attr:`Simulator.pending` is the heap's length minus the cancelled Events
+still in it.
 """
 
 from __future__ import annotations
@@ -47,12 +60,17 @@ from typing import Callable, List, Optional
 
 from ..errors import SimulationError
 
+#: Below this many heap entries a cancel never rebuilds the heap.
+_PURGE_FLOOR = 32
+
 
 class Event:
     """A scheduled callback.
 
     Events are returned by :meth:`Simulator.schedule` and can be cancelled.
-    Cancellation is lazy: the heap entry stays, but the callback is skipped.
+    Cancellation is lazy: the heap entry stays and the callback is skipped,
+    until cancelled entries outnumber live ones and the cancel that tips
+    the balance purges them all (see the module docstring).
     """
 
     __slots__ = ("time", "callback", "cancelled", "name", "_sim", "_done")
@@ -77,7 +95,11 @@ class Event:
         if self.cancelled or self._done:
             return
         self.cancelled = True
-        self._sim._cancelled += 1
+        sim = self._sim
+        sim._cancelled += 1
+        size = len(sim._heap)
+        if size > _PURGE_FLOOR and 2 * sim._cancelled > size:
+            sim._purge_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -121,8 +143,8 @@ class Simulator:
         """Number of not-yet-cancelled events still queued.
 
         O(1): :meth:`Event.cancel` counts each cancelled entry still in the
-        heap and the run loop's purge uncounts it, so the heap is never
-        scanned.
+        heap, and the run loop's purge and the bulk purge uncount them, so
+        the heap is never scanned for it.
         """
         return len(self._heap) - self._cancelled
 
@@ -195,6 +217,12 @@ class Simulator:
             raise SimulationError("jitter requires an rng")
         handle = PeriodicHandle()
         schedule_call = self.schedule_call
+        # rng.uniform(-jitter, jitter) is ``a + (b - a) * random()`` on
+        # 3.10-3.12; written out here with (b - a) hoisted, the floats and
+        # the draw order are the same
+        low = -jitter
+        span = jitter - low
+        rand = rng.random if jitter else None
 
         def fire(_arg) -> None:
             if handle.cancelled:
@@ -202,13 +230,23 @@ class Simulator:
             callback()
             if handle.cancelled:  # callback may cancel the loop
                 return
-            delay = interval
             if jitter:
-                delay *= 1.0 + rng.uniform(-jitter, jitter)
-            schedule_call(delay, fire, None)
+                schedule_call(interval * (1.0 + (low + span * rand())), fire, None)
+            else:
+                schedule_call(interval, fire, None)
 
         schedule_call(interval, fire, None)
         return handle
+
+    def _purge_cancelled(self) -> None:
+        """Drop every cancelled Event's entry, in place (the list is
+        aliased by the run loop and the links)."""
+        heap = self._heap
+        heap[:] = [
+            entry for entry in heap if len(entry) == 4 or not entry[2].cancelled
+        ]
+        heapq.heapify(heap)
+        self._cancelled = 0
 
     # -- running -------------------------------------------------------
 

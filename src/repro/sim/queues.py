@@ -82,6 +82,24 @@ class FifoQueue:
             stats.peak_depth = depth + 1
         return True
 
+    def pass_through(self) -> bool:
+        """Count an item that enters the empty queue and leaves at once.
+
+        Returns False, counting nothing, unless the queue is empty.  The
+        statistics end exactly as :meth:`push` then :meth:`pop` at this
+        instant would leave them: the depth integral gains nothing (the
+        queue was empty before and is empty after).
+        """
+        if self._items:
+            return False
+        stats = self.stats
+        stats._last_change = self._sim._now
+        stats.enqueued += 1
+        stats.dequeued += 1
+        if stats.peak_depth < 1:
+            stats.peak_depth = 1
+        return True
+
     def pop(self) -> Optional[Any]:
         """Dequeue the oldest item, or None if empty."""
         # hot path: ``_account`` inlined

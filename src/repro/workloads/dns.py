@@ -86,16 +86,19 @@ class DnsShardStream:
 
     def name(self) -> str:
         parent = self.parent
+        cache = parent._rank_cache
         while True:
             if parent.miss_fraction and self._rng.random() < parent.miss_fraction:
                 # out-of-zone names hash to shards like any other qname
-                qname = parent.name_of_rank(
-                    parent.n_names + self._rng.randrange(1, 1000)
-                )
+                rank = parent.n_names + self._rng.randrange(1, 1000)
             else:
-                qname = parent.name_of_rank(self._zipf.sample())
-            if key_shard(qname, parent.n_shards) == self.shard:
-                return qname
+                rank = self._zipf.sample()
+            entry = cache.get(rank)
+            if entry is None:
+                qname = parent.name_of_rank(rank)
+                entry = cache[rank] = (qname, key_shard(qname, parent.n_shards))
+            if entry[1] == self.shard:
+                return entry[0]
 
 
 class ShardedDnsWorkload(DnsNameWorkload):
@@ -128,6 +131,10 @@ class ShardedDnsWorkload(DnsNameWorkload):
         )
         self.n_shards = n_shards
         self.seed = seed
+        #: rank -> (qname, owning shard), shared by all shard streams: the
+        #: rejection loop draws about n_shards names per query, and each
+        #: would otherwise be formatted and hashed again
+        self._rank_cache: dict = {}
 
     def shard_of(self, qname: str) -> int:
         return key_shard(qname, self.n_shards)

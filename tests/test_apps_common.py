@@ -107,6 +107,29 @@ class TestSoftwareService:
         sim.run_until(msec(100.0))
         assert server.cpu.app_utilization("echo") > 0.0
 
+    def test_idle_fast_path_leaves_queue_stats_as_push_and_pop(self):
+        """Arrivals at 0 and 31 us find the server idle and skip the
+        queue; those at 2, 4 and 35 us wait.  Service takes 10 us.  The
+        statistics are what push-then-pop would leave, by hand:
+        depth 1 over 2-4 us, 2 over 4-10, 1 over 10-20 and 1 over
+        35-41 gives an integral of 2 + 12 + 10 + 6 = 30 us, last
+        changed when the t=35 request leaves the queue at 41 us."""
+        sim, server, sink, service = _software(capacity=100_000.0)
+        for at in (0.0, 2.0, 4.0, 31.0, 35.0):
+            sim.schedule_call(
+                at,
+                service.offer,
+                make_packet("client", "srv", TrafficClass.NORMAL, payload=at, now=at),
+            )
+        sim.run_until(100.0)
+        stats = service.queue.stats
+        assert (stats.enqueued, stats.dequeued, stats.dropped) == (5, 5, 0)
+        assert stats.peak_depth == 2
+        assert stats.depth_time_integral == 30.0
+        assert stats._last_change == 41.0
+        assert [p.payload for p in sink.received] == [0.0, 2.0, 4.0, 31.0, 35.0]
+        assert service.served == 5
+
     def test_validation(self):
         sim = Simulator()
         server = make_i7_server(sim)

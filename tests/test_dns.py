@@ -36,6 +36,35 @@ class TestMessages:
         with pytest.raises(ProtocolError):
             DnsQuery("bad..example.com")
 
+    def test_invalid_names_raise_every_time(self):
+        """validate_name is memoized, but a failure is not cached."""
+        from repro.apps.dns.message import validate_name
+
+        for _ in range(3):
+            with pytest.raises(ProtocolError):
+                DnsQuery("bad..example.com")
+        assert validate_name("Svc.Example.") == "svc.example"
+        assert DnsQuery("SVC.example").name == "svc.example"
+        info = validate_name.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_query_and_response_keep_value_semantics(self):
+        import copy
+        import pickle
+
+        record = ARecord("x.com", "1.2.3.4")
+        for message in (
+            DnsQuery("X.com.", query_id=3),
+            DnsResponse(DnsRcode.NOERROR, "x.com", record=record, query_id=3),
+            DnsResponse(DnsRcode.NXDOMAIN, "y.com", query_id=4),
+        ):
+            assert pickle.loads(pickle.dumps(message)) == message
+            assert copy.deepcopy(message) == message
+            assert hash(copy.copy(message)) == hash(message)
+        assert repr(DnsQuery("X.com.", 3)) == (
+            "DnsQuery(name='x.com', query_id=3, recursive=False)"
+        )
+
     def test_arecord_validation(self):
         ARecord("x.com", "10.0.0.1")
         with pytest.raises(ProtocolError):

@@ -167,3 +167,86 @@ def test_dpdk_role_pins_a_core():
     sim.run_until(sec(1.0))
     # still pinned after utilization windows rolled
     assert server.cpu.app_utilization("dpdk-acceptor") == pytest.approx(0.25)
+
+
+# -- the routing table ---------------------------------------------------------
+
+
+def test_route_addresses_each_role_output():
+    from repro.apps.paxos.deployment import _route
+    from repro.apps.paxos.messages import (
+        ClientCommand,
+        ClientRequest,
+        GapRequest,
+        Phase1A,
+        Phase2A,
+    )
+
+    directory = _Directory(["a0", "a1", "a2"], ["l0", "l1"], leader_address="g0")
+    leader = LeaderState("ldr", 0, 3)
+    phase1 = leader.start_phase1()
+    acceptors = [AcceptorState(name) for name in directory.acceptors]
+    promises = [_route(a, phase1, directory) for a in acceptors]
+    assert [dst for out in promises for dst, _ in out] == ["g0"] * 3
+    for out in promises:
+        assert _route(leader, out[0][1], directory) == []  # nothing to recover
+    command = ClientCommand("c0", 1)
+    proposals = _route(leader, ClientRequest(command), directory)
+    assert [dst for dst, _ in proposals] == directory.acceptors
+    proposal = proposals[0][1]
+    votes = _route(acceptors[0], proposal, directory)
+    assert [dst for dst, _ in votes] == ["l0", "l1"]
+    learner = LearnerState("l0", 3)
+    assert _route(learner, votes[0][1], directory) == []
+    second_vote = _route(acceptors[1], proposal, directory)[0][1]
+    decided = _route(learner, second_vote, directory)
+    assert [(dst, d.instance, d.value) for dst, d in decided] == [("c0", 1, command)]
+    resent = _route(leader, GapRequest(1), directory)
+    assert [p for _, p in resent] == [Phase2A(proposal.round, 1, command)] * 3
+    # a message a role does not handle produces no output
+    assert list(_route(learner, Phase1A(phase1.round, "ldr"), directory)) == []
+    assert list(_route(acceptors[0], ClientRequest(command), directory)) == []
+
+
+def test_route_rejects_an_unknown_role_state():
+    from repro.apps.paxos.deployment import _route
+    from repro.apps.paxos.messages import GapRequest
+
+    with pytest.raises(ConfigurationError):
+        _route(object(), GapRequest(1), _Directory(["a0"], ["l0"]))
+
+
+def test_messages_are_slotted_and_keep_their_value_semantics():
+    import copy
+    import pickle
+
+    from repro.apps.paxos.messages import (
+        ClientCommand,
+        ClientRequest,
+        Decision,
+        GapRequest,
+        Phase1A,
+        Phase2A,
+        Phase2B,
+    )
+
+    command = ClientCommand("c0", 7)
+    messages = [
+        command,
+        ClientRequest(command, attempt=2),
+        Phase1A(17, "ldr"),
+        Phase2A(17, 3, command),
+        Phase2B(17, 3, "a0", command, last_voted_instance=3),
+        Decision(3, command),
+        GapRequest(4),
+    ]
+    for message in messages:
+        assert not hasattr(message, "__dict__")
+        assert pickle.loads(pickle.dumps(message)) == message
+        assert copy.deepcopy(message) == message
+        assert hash(copy.copy(message)) == hash(message)
+    assert repr(messages[1]) == "ClientRequest(command=cmd(c0#7), attempt=2)"
+    assert repr(messages[4]) == (
+        "Phase2B(round=17, instance=3, acceptor='a0', value=cmd(c0#7), "
+        "last_voted_instance=3)"
+    )

@@ -10,7 +10,8 @@ The checks need a fresh interpreter: this test process may hold numpy
   ``percentiles`` — then reports which numpy modules it loaded.
 * An analytic sweep imports no DES: planning and answering a fast-path
   sweep loads no builder, app or experiment module, and the first replay
-  loads the builder.
+  loads the builder.  Nor does the CLI's analytic command: the figure
+  runners that replay load on first use.
 * Every package that re-exports its submodules lazily
   (:func:`repro.lazy.lazy_exports`) still exports every ``__all__`` name:
   it resolves, ``dir()`` lists it, and ``from pkg import *`` binds it.
@@ -87,6 +88,32 @@ def test_an_analytic_sweep_imports_no_des():
     assert loaded["analytic"] == []
     assert "repro.scenarios.builder" in loaded["replay"]
     assert "repro.apps.kvs.client" in loaded["replay"]
+
+
+_CLI_CHILD = """
+import contextlib
+import io
+import json
+import sys
+
+from repro.__main__ import main
+
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    status = main(["figure3a"])
+DES = ("repro.scenarios.builder", "repro.experiments.transitions")
+print(json.dumps({
+    "status": status,
+    "rendered": len(out.getvalue()),
+    "des": sorted(m for m in sys.modules if m in DES),
+}))
+"""
+
+
+def test_an_analytic_cli_command_imports_no_des():
+    report = json.loads(run_child(_CLI_CHILD))
+    assert report["status"] == 0
+    assert report["rendered"] > 0
+    assert report["des"] == []
 
 
 #: Each lazily re-exporting package, with one submodule that importing

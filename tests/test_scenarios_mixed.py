@@ -338,3 +338,18 @@ def test_each_client_stores_its_latencies_once():
         assert client.latency._samples is client.latency_series._values
         assert client.latency.median() == percentile(values, 50.0)
         assert client.latency.p99() == percentile(values, 99.0)
+
+
+def test_cancelled_paxos_timeouts_leave_the_heap():
+    """Each Paxos request arms a 100 ms retry timeout and its decision
+    cancels it about 0.4 ms later.  The bulk purge keeps those dead entries
+    from filling the heap: after a replay it holds at most twice its live
+    entries plus the purge floor (lazy cancellation alone left ~1,500
+    entries for ~70 live ones here)."""
+    from repro.sim.kernel import _PURGE_FLOOR
+
+    run = ScenarioBuilder(build_spec("rack-mixed", duration_s=0.3)).build()
+    run.execute()
+    sim = run.sim
+    assert sum(c.decided for g in run.paxos_groups for c in g.clients) > 1000
+    assert len(sim._heap) <= 2 * sim.pending + _PURGE_FLOOR

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from repro.sim.kernel import _PURGE_FLOOR
 
 
 def test_clock_starts_at_zero():
@@ -159,14 +160,15 @@ def test_pending_tracks_execution_and_double_cancel():
 
 
 def test_pending_is_o1_with_cancelled_backlog():
-    """pending must not scan the heap: a large lazily-cancelled backlog
-    leaves the counter exact while the heap still holds the entries."""
+    """pending must not scan the heap: a large cancelled backlog leaves the
+    counter exact, and the bulk purge keeps the heap within twice the live
+    entries (or the floor)."""
     sim = Simulator()
     events = [sim.schedule(float(i + 1), lambda: None) for i in range(1000)]
     for event in events[:999]:
         event.cancel()
     assert sim.pending == 1
-    assert len(sim._heap) == 1000  # lazy cancellation: entries remain
+    assert len(sim._heap) <= max(_PURGE_FLOOR, 2 * sim.pending)
 
 
 def test_run_until_budget_counts_only_executed_callbacks():
@@ -401,4 +403,128 @@ def test_pending_and_executed_exact_under_a_budget():
     assert sim.pending == 2
     sim.run_until(10.0)
     assert sim.events_executed == 5
+    assert sim.pending == 0
+
+
+# -- the bulk purge of cancelled events ----------------------------------------
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_bulk_purge_keeps_order_and_counters_exact(seed):
+    """Events, calls and plain and queued Link sends interleave with
+    cancels, many made inside running callbacks and most of them of a long
+    timeout armed shortly before (the Paxos client's pattern), so the heap
+    is rebuilt several times.  Every live callback still runs in (time,
+    schedule index) order, which a sorted oracle predicts; pending and
+    events_executed stay exact; and right after every cancel the heap
+    holds at most max(floor, 2 x live) entries."""
+    import itertools
+    import random
+
+    from repro.net import Link, TrafficClass
+    from repro.net.node import CallbackNode
+    from repro.net.packet import make_packet
+
+    rng = random.Random(seed)
+    sim = Simulator()
+    purges = []
+    purge = sim._purge_cancelled
+    sim._purge_cancelled = lambda: (purges.append(len(sim._heap)), purge())
+    ran = []
+    expected = {}  # label -> (time, schedule index), for every live entry
+    events = {}  # label -> Event not yet run or cancelled
+    index = itertools.count()
+
+    def on_run(label):
+        ran.append(label)
+        events.pop(label, None)
+        assert sim.events_executed == len(ran)
+        assert sim.pending == len(expected) - len(ran)
+        if rng.random() < 0.6:
+            for _ in range(rng.randrange(1, 4)):
+                cancel_one()
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            schedule_one()
+
+    sink = CallbackNode(sim, "sink", lambda packet: on_run(packet.payload))
+    plain = Link(sim, sink, latency_us=3.0)
+    queued = Link(sim, sink, latency_us=3.0, queueing=True)
+    busy_until = [0.0]  # the oracle's copy of the queued link's wire
+
+    def cancel_one():
+        if not events:
+            return
+        label = rng.choice(sorted(events))
+        events.pop(label).cancel()
+        del expected[label]
+        assert sim.pending == len(expected) - len(ran)
+        assert len(sim._heap) <= max(_PURGE_FLOOR, 2 * sim.pending)
+
+    def schedule_one():
+        now = sim.now
+        label = next(index)
+        kind = rng.randrange(6)
+        # whole microseconds, so many entries tie
+        delay = float(rng.randrange(1, 30))
+        if kind == 0:  # a long timeout, cancelled by a later callback
+            delay += 1000.0
+            events[label] = sim.schedule(delay, lambda: on_run(label))
+            expected[label] = (now + delay, label)
+        elif kind == 1:
+            events[label] = sim.schedule_at(now + delay, lambda: on_run(label))
+            expected[label] = (now + delay, label)
+        elif kind == 2:
+            sim.schedule_call(delay, on_run, label)
+            expected[label] = (now + delay, label)
+        else:
+            packet = make_packet("src", "sink", TrafficClass.NORMAL, label, now)
+            serialization = packet.size_bytes * 8 / plain.bandwidth_bps * 1e6
+            if kind == 3:
+                plain.send(packet)
+                expected[label] = (now + (3.0 + serialization), label)
+            elif kind == 4:
+                start = max(busy_until[0], now)
+                busy_until[0] = start + serialization
+                queued.send(packet)
+                expected[label] = (now + ((start - now) + serialization + 3.0), label)
+            else:
+                events[label] = sim.schedule(delay, lambda: on_run(label))
+                expected[label] = (now + delay, label)
+
+    for _ in range(400):
+        schedule_one()
+    for _ in range(150):
+        cancel_one()
+    sim.run_until(500.0)
+    sim.run()  # the budgeted loop drains the rest
+    assert len(purges) >= 3
+    assert ran == sorted(expected, key=expected.get)
+    assert sim.events_executed == len(ran)
+    assert sim.pending == 0
+    assert sim._heap == []
+
+
+def test_a_purge_inside_a_callback_keeps_the_run_going():
+    """The run loop holds the heap list itself: a purge triggered by a
+    cancel inside a callback filters that same list, so every later entry
+    still runs, in order."""
+    sim = Simulator()
+    fired = []
+    timeouts = [
+        sim.schedule(1000.0 + i, lambda: fired.append("timeout")) for i in range(100)
+    ]
+    heap = sim._heap
+
+    def cancel_all(_arg):
+        for event in timeouts:
+            event.cancel()
+        assert sim._heap is heap
+        assert len(heap) <= max(_PURGE_FLOOR, 2 * sim.pending)
+
+    sim.schedule_call(1.0, cancel_all, None)
+    for i in range(5):
+        sim.schedule_call(2.0 + i, fired.append, i)
+    sim.run_until(2000.0)
+    assert fired == [0, 1, 2, 3, 4]
+    assert sim.events_executed == 6
     assert sim.pending == 0

@@ -81,3 +81,23 @@ def test_time_weighted_mean_depth():
 def test_mean_depth_zero_elapsed():
     q = FifoQueue(Simulator())
     assert q.stats.mean_depth(0.0) == 0.0
+
+
+def test_pass_through_counts_like_push_then_pop():
+    sim = Simulator()
+    q, twin = FifoQueue(sim), FifoQueue(sim)
+    sim.run_until(5.0)
+    assert q.pass_through()
+    assert twin.push("x") and twin.pop() == "x"
+    assert q.stats == twin.stats
+    assert q.stats.peak_depth == 1 and q.stats._last_change == 5.0
+
+
+def test_pass_through_refuses_a_non_empty_queue():
+    sim = Simulator()
+    q = FifoQueue(sim)
+    q.push("waiting")
+    before = (q.stats.enqueued, q.stats.dequeued)
+    assert not q.pass_through()
+    assert (q.stats.enqueued, q.stats.dequeued) == before
+    assert q.pop() == "waiting"

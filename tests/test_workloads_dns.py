@@ -96,6 +96,40 @@ class TestShardedDnsWorkload:
             misses = sum(n not in in_zone for n in names)
             assert 80 < misses < 240  # ~40% of this shard's queries
 
+    @pytest.mark.parametrize("miss_fraction", [0.0, 0.3])
+    def test_memoized_names_follow_the_unmemoized_draws(self, miss_fraction):
+        """The (qname, shard) memo changes no draw: an oracle that formats
+        and hashes every candidate from a twin RNG picks the same names."""
+        import random
+
+        from repro.workloads.dns import DnsShardStream
+        from repro.workloads.etc import ZipfSampler
+
+        sharded = ShardedDnsWorkload(
+            n_names=300, n_shards=3, seed=4, miss_fraction=miss_fraction
+        )
+        streams = [sharded.stream(shard) for shard in range(3)]
+        oracles = []
+        for stream in streams:
+            rng = random.Random()
+            rng.setstate(stream._rng.getstate())
+            oracles.append((rng, ZipfSampler(300, 0.99, rng), stream.shard))
+
+        def oracle_name(rng, zipf, shard):
+            while True:
+                if miss_fraction and rng.random() < miss_fraction:
+                    rank = 300 + rng.randrange(1, 1000)
+                else:
+                    rank = zipf.sample()
+                qname = sharded.name_of_rank(rank)
+                if key_shard(qname, 3) == shard:
+                    return qname
+
+        for i in range(600):
+            stream, oracle = streams[i % 3], oracles[i % 3]
+            assert isinstance(stream, DnsShardStream)
+            assert stream.name() == oracle_name(*oracle)
+
     def test_empty_shard_rejected(self):
         # 1 name across 4 shards: three shards own nothing
         sharded = ShardedDnsWorkload(n_names=1, n_shards=4, seed=9)
