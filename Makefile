@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke sweep-smoke hetero-smoke fabric-smoke bench-perf bench-fabric-perf bench-grid-perf perfbench-smoke bench-replication bench examples
+.PHONY: test bench-smoke sweep-smoke hetero-smoke fabric-smoke paxos-smoke bench-perf bench-fabric-perf bench-grid-perf perfbench-smoke bench-replication bench examples
 
 # Tier-1; --durations prints the ten slowest tests, so every log carries
 # the suite's slowest DES replays as a perf number.
@@ -38,6 +38,16 @@ hetero-smoke:
 # benchmarks/results/ (CI artifacts).
 fabric-smoke:
 	$(PYTHON) -m pytest -q benchmarks/bench_fabric_scale.py
+
+# The builder-driven Paxos tables: the mixed rack (2 KVS shards, 2 Paxos
+# groups, 2 anycast DNS replicas, each group shifting on its own) and the
+# Figure 7 leader transition.  Asserts both groups decide and shift and
+# the post-shift stalls; tables land in benchmarks/results/rack_mixed.txt
+# and figure7.txt (~40 s on 2 cores).
+paxos-smoke:
+	$(PYTHON) -m pytest -q \
+		benchmarks/bench_rack_mixed.py \
+		benchmarks/bench_fig7_paxos_transition.py
 
 # The perf trajectory: DES events/sec + wall seconds per scenario, the
 # serial-vs-parallel sweep wall time, and the K=4 replicated-sweep leg

@@ -38,10 +38,8 @@ def _client_p99_us(spec):
     run = ScenarioBuilder(spec).build()
     result = run.execute()
     samples = []
-    for host in run.kvs_hosts:
-        samples.extend(
-            v for v in host.client.latency_series.values if v is not None
-        )
+    for (client,) in (p.clients for p in run.placements if p.app == "kvs"):
+        samples.extend(v for v in client.latency_series.values if v is not None)
     return _p99(samples), result
 
 

@@ -23,6 +23,7 @@ import sys
 from .errors import ConfigurationError
 from .experiments import figures
 from .hw.device import device_descriptions
+from .naming import rack_qualified
 from .scenarios import (
     closest_scenario,
     closest_sweep,
@@ -157,11 +158,18 @@ def _fabric_topologies() -> dict:
         fabric = spec.fabric
         if fabric is None:
             continue
-        n_hosts = (
-            len(spec.kvs_hosts)
-            + len(spec.dns_hosts)
-            + sum(len(set(px.acceptor_hosts or ())) for px in spec.paxos_groups)
-        )
+        # a group's software leader, learner and acceptor boxes are
+        # servers (its hardware leader is a card); a shared box is one
+        paxos_boxes = {
+            rack_qualified(spec.host_rack(px), name)
+            for px in spec.paxos_groups
+            for name in (
+                px.software_leader_name,
+                px.learner_name,
+                *px.acceptor_names(),
+            )
+        }
+        n_hosts = len(spec.kvs_hosts) + len(spec.dns_hosts) + len(paxos_boxes)
         uplink = fabric.uplink
         rows[name] = (
             f"{fabric.racks} racks x 1 ToR + spine {fabric.spine.name!r}, "

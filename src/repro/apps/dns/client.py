@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
+from typing import Callable
 
 from ...errors import ConfigurationError
 from ...net.packet import Packet, TrafficClass, make_packet, release_packet
@@ -67,12 +67,6 @@ class DnsClient(Node):
     @property
     def rate_pps(self) -> float:
         return self._rate_pps
-
-    @property
-    def response_times_us(self) -> Sequence[float]:
-        """Response timestamps, for bucketed throughput series: a read-only
-        view of :attr:`latency_series`' times."""
-        return self.latency_series.times
 
     def stop(self) -> None:
         self.set_rate(0.0)

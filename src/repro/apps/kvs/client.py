@@ -9,7 +9,7 @@ achieved throughput.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from ...errors import ConfigurationError
 from ...net.packet import Packet, TrafficClass, make_packet, release_packet
@@ -84,12 +84,6 @@ class KvsClient(Node):
     @property
     def rate_pps(self) -> float:
         return self._rate_pps
-
-    @property
-    def response_times_us(self) -> Sequence[float]:
-        """Response timestamps, for throughput timelines: a read-only view
-        of :attr:`latency_series`' times."""
-        return self.latency_series.times
 
     def stop(self) -> None:
         self.set_rate(0.0)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ... import calibration as cal
 from ...errors import ConfigurationError
@@ -87,12 +87,6 @@ class PaxosClient(Node):
     @property
     def rate_pps(self) -> float:
         return self._rate_pps
-
-    @property
-    def decision_times_us(self) -> Sequence[float]:
-        """Decision timestamps, for throughput timelines: a read-only view
-        of :attr:`latency_series`' times."""
-        return self.latency_series.times
 
     def start_closed_loop(self, window: int) -> None:
         """Keep ``window`` requests outstanding; each decision triggers the

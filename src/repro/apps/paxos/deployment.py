@@ -97,7 +97,9 @@ def _acceptor_phase2a(state: AcceptorState, msg, directory: _Directory):
 
 
 def _learner_phase2b(state: LearnerState, msg, directory: _Directory):
-    state.handle_phase2b(msg)
+    # only a vote that decides its instance can extend the delivered prefix
+    if state.handle_phase2b(msg) is None:
+        return ()
     out = []
     for decision in state.deliverable():
         client = getattr(decision.value, "client", None)

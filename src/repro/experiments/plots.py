@@ -117,8 +117,8 @@ def save_transition_png(result, path: PathLike, title: Optional[str] = None) -> 
 
     Accepts any object with ``throughput_series``, ``latency_series`` and
     ``shift_times_us`` attributes — :class:`Figure6Result`,
-    :class:`Figure7Result` and :class:`~repro.scenarios.HostResult` all
-    qualify; a ``power_series`` attribute adds the third panel.
+    :class:`Figure7Result` and :class:`~repro.scenarios.PlacementResult`
+    all qualify; a ``power_series`` attribute adds the third panel.
     """
     plt = _require_pyplot()
     power_series = getattr(result, "power_series", None)

@@ -202,7 +202,7 @@ def run_figure7(
         throughput_series=paxos.throughput_series,
         latency_series=paxos.latency_series,
         shift_times_us=paxos.shift_times_us,
-        decided=paxos.decided,
+        decided=paxos.responses,
         retries=paxos.retries,
         stall_us=paxos.stall_us,
     )

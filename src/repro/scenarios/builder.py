@@ -10,20 +10,22 @@ shared sampling.  Executing the run produces a :class:`ScenarioResult`
 carrying per-host, per-group and aggregate timelines — the same series the
 paper's Figures 6/7 plot, generalized to heterogeneous racks.
 
-KVS hosts and DNS replicas share one build path and one collect path:
-the on-demand shift is the same classifier-rule move for both apps (§9.1),
-so :meth:`ScenarioBuilder._build_host` wires either into a
-:class:`BuiltHost` and :meth:`ScenarioRun._collect_host` reads either
-back.  Per-app code is only each rack method's traffic split, the
-software/hardware and client constructors of :class:`_KvsTraffic` and
-:class:`_DnsTraffic`, and the host table's two hardware counters.  Paxos
-groups keep their own paths and share only the wall samplers.
+Every placement (KVS host, DNS replica or Paxos group) is one thing a
+controller moves between host and device (§9.1): the builder wires each
+into a :class:`BuiltPlacement` and :meth:`ScenarioRun._collect_placement`
+reads each back into one :class:`PlacementResult`.  KVS hosts and DNS
+replicas share :meth:`ScenarioBuilder._build_host`; their per-app code is
+each rack method's traffic split and the constructors of
+:class:`_KvsTraffic` and :class:`_DnsTraffic`.  A group's leaders,
+acceptors, learner, deployment and gap scanner stay inside
+:meth:`ScenarioBuilder._build_paxos_group`, and collect branches on the
+app only for the per-app counters.
 
 Event order is part of the determinism contract.  Within a host: the
 software util timer, the hardware util timer, the client's ``set_rate``,
 the co-located jobs, the controller's timers (RAPL first), the initial
 hardware pin, the RAPL sampler, the wall sampler.  Placements are built
-KVS, Paxos, DNS and their power is attributed KVS, DNS, Paxos.  RNG
+KVS, Paxos, DNS and listed (collected, attributed) KVS, DNS, Paxos.  RNG
 stream keys are ``<host>.lake.latency``, ``<host>.emu.jitter`` and
 ``<client>.arrivals``.
 """
@@ -100,6 +102,7 @@ from .spec import (
     OnDemandSweepSpec,
     PaxosSpec,
     PhaseSchedule,
+    SamplingSpec,
     ScenarioSpec,
 )
 
@@ -111,7 +114,7 @@ from .spec import (
 def windowed_mean(series, start_us: float, end_us: float, label: str = "series") -> float:
     """Mean of the non-None values with start <= t < end.
 
-    The one windowing rule every result type (host, paxos, aggregate, and
+    The one windowing rule every result type (placement, aggregate, and
     the figure-shaped adapters in :mod:`repro.experiments.transitions`)
     shares.
     """
@@ -124,27 +127,42 @@ def windowed_mean(series, start_us: float, end_us: float, label: str = "series")
 
 
 @dataclass
-class HostResult:
-    """One host's Figure-6-style timelines plus its transition markers.
+class PlacementResult:
+    """One placement's Figure-6/7-style timelines plus its transition
+    markers: a KVS host, a DNS replica or a Paxos group (``app``).
 
-    ``app`` tells KVS hosts from DNS hosts in mixed racks; for DNS hosts
-    ``hw_hits`` counts Emu-served queries and ``hw_miss_forwards`` the
-    deeper-than-parser fallbacks (§9.2).
+    ``offered_pps`` is the open-loop rate a host's client offers (0.0 for
+    a group's closed loop), and ``responses`` counts the client replies a
+    host served or the decisions a group delivered.  The per-app counters
+    stay zero where they do not apply: ``hw_hits`` counts requests a
+    host's card served and ``hw_miss_forwards`` what it handed to
+    software (LaKe misses forwarded to memcached, names deeper than Emu's
+    parser, §9.2); ``retries`` and ``stall_us`` are a group's client
+    retries and post-shift stalls.
     """
 
     name: str
+    app: str
+    controller_kind: str
+    #: which offload card the placement runs on ("none" = NIC-only host)
+    device_kind: str
     offered_pps: float
     shift_times_us: List[float]
     throughput_series: List[Tuple[float, float]]
     latency_series: List[Tuple[float, Optional[float]]]
     power_series: List[Tuple[float, float]]
-    hw_hits: int
-    hw_miss_forwards: int
     responses: int
-    app: str = "kvs"
-    controller_kind: str = "host"
-    #: which offload card this host carries ("none" = NIC-only host)
-    device_kind: str = DEFAULT_DEVICE_KIND
+    hw_hits: int = 0
+    hw_miss_forwards: int = 0
+    retries: int = 0
+    stall_us: List[float] = field(default_factory=list)
+
+    @property
+    def decided(self) -> int:
+        """A group's decisions, i.e. its ``responses``.  The cold-start
+        benchmark under ``perfbench/`` reads this name; that harness is
+        kept fixed so its runs compare across commits."""
+        return self.responses
 
     def mean_throughput_pps(self, start_us: float, end_us: float) -> float:
         return windowed_mean(self.throughput_series, start_us, end_us, "throughput")
@@ -157,33 +175,13 @@ class HostResult:
 
 
 @dataclass
-class PaxosResult:
-    """One consensus group's Figure-7-style timelines."""
-
-    throughput_series: List[Tuple[float, float]]
-    latency_series: List[Tuple[float, Optional[float]]]
-    power_series: List[Tuple[float, float]]
-    shift_times_us: List[float]
-    decided: int
-    retries: int
-    stall_us: List[float] = field(default_factory=list)
-    name: str = "paxos"
-
-    def mean_throughput_pps(self, start_us: float, end_us: float) -> float:
-        return windowed_mean(self.throughput_series, start_us, end_us, "throughput")
-
-    def mean_latency_us(self, start_us: float, end_us: float) -> float:
-        return windowed_mean(self.latency_series, start_us, end_us, "latency")
-
-
-@dataclass
 class ScenarioResult:
     """Everything a scenario run measured."""
 
     name: str
     duration_us: float
-    hosts: List[HostResult]
-    paxos_groups: List[PaxosResult]
+    #: every placement: KVS hosts, DNS replicas, then Paxos groups
+    placements: List[PlacementResult]
     #: summed per-bucket host throughput (the rack's served rate, KVS+DNS)
     aggregate_throughput_series: List[Tuple[float, float]]
     #: summed per-bucket host platform power (the rack's CPU draw, KVS+DNS)
@@ -192,7 +190,6 @@ class ScenarioResult:
     routed_per_host: Dict[str, int] = field(default_factory=dict)
     #: routed-query counts per DNS host in anycast mode (ToR telemetry)
     dns_routed_per_host: Dict[str, int] = field(default_factory=dict)
-    dns_hosts: List[HostResult] = field(default_factory=list)
     #: mean **wall** watts (platform + card) attributed to each placement —
     #: KVS host, DNS replica or Paxos group — over the whole run; a server
     #: claimed by several placements is split between them (§9.4 rack
@@ -227,27 +224,39 @@ class ScenarioResult:
     def same_rack_steers(self) -> List[SteerEvent]:
         return [s for s in self.fabric_steers if not s.cross_rack]
 
+    def _of(self, *apps: str) -> List[PlacementResult]:
+        return [p for p in self.placements if p.app in apps]
+
     @property
-    def paxos(self) -> Optional[PaxosResult]:
+    def hosts(self) -> List[PlacementResult]:
+        """The KVS hosts."""
+        return self._of("kvs")
+
+    @property
+    def dns_hosts(self) -> List[PlacementResult]:
+        return self._of("dns")
+
+    @property
+    def all_hosts(self) -> List[PlacementResult]:
+        """The KVS hosts, then the DNS replicas."""
+        return self._of("kvs", "dns")
+
+    @property
+    def paxos_groups(self) -> List[PlacementResult]:
+        return self._of("paxos")
+
+    @property
+    def paxos(self) -> Optional[PlacementResult]:
         """The single consensus group of a Figure-7-style scenario (the
         first group of a multi-group rack), or None."""
-        return self.paxos_groups[0] if self.paxos_groups else None
+        groups = self.paxos_groups
+        return groups[0] if groups else None
 
-    def host(self, name: str) -> HostResult:
-        for host in (*self.hosts, *self.dns_hosts):
-            if host.name == name:
-                return host
+    def placement(self, name: str) -> PlacementResult:
+        for placement in self.placements:
+            if placement.name == name:
+                return placement
         raise KeyError(name)
-
-    def paxos_group(self, name: str) -> PaxosResult:
-        for group in self.paxos_groups:
-            if group.name == name:
-                return group
-        raise KeyError(name)
-
-    @property
-    def all_hosts(self) -> List[HostResult]:
-        return [*self.hosts, *self.dns_hosts]
 
     @property
     def total_responses(self) -> int:
@@ -266,7 +275,7 @@ class ScenarioResult:
         """Sum of the per-placement wall-power attribution."""
         return left_sum(self.power_by_placement.values())
 
-    def hosts_with_shifts(self) -> List[HostResult]:
+    def hosts_with_shifts(self) -> List[PlacementResult]:
         return [h for h in self.all_hosts if h.shift_times_us]
 
     def distinct_first_shift_times(self) -> List[float]:
@@ -304,37 +313,29 @@ class ScenarioResult:
                     f"shard {steer.shard} {steer.from_host} -> {steer.to_host} "
                     f"({kind})"
                 )
-        if self.hosts:
+        for hosts, title, unit, routed, routing in (
+            (self.hosts, "rack: {} KVS host(s)", "kpps", self.routed_per_host,
+             "key-shard"),
+            (self.dns_hosts, "anycast DNS: {} host(s)", "kqps",
+             self.dns_routed_per_host, "qname-hash"),
+        ):
+            if not hosts:
+                continue
             lines.append(
-                f"rack: {len(self.hosts)} KVS host(s), "
-                f"offered {sum(h.offered_pps for h in self.hosts) / 1e3:.1f} kpps total, "
-                f"{sum(h.responses for h in self.hosts)} responses"
+                f"{title.format(len(hosts))}, "
+                f"offered {sum(h.offered_pps for h in hosts) / 1e3:.1f} {unit} total, "
+                f"{sum(h.responses for h in hosts)} responses"
             )
-            lines.extend(self._host_table(self.hosts, self.duration_us))
-            if self.routed_per_host:
-                routed = ", ".join(
-                    f"{name}={count}" for name, count in self.routed_per_host.items()
-                )
-                lines.append(f"ToR key-shard routing: {routed}")
-        if self.dns_hosts:
-            lines.append(
-                f"anycast DNS: {len(self.dns_hosts)} host(s), "
-                f"offered {sum(h.offered_pps for h in self.dns_hosts) / 1e3:.1f} kqps total, "
-                f"{sum(h.responses for h in self.dns_hosts)} responses"
-            )
-            lines.extend(self._host_table(self.dns_hosts, self.duration_us))
-            if self.dns_routed_per_host:
-                routed = ", ".join(
-                    f"{name}={count}"
-                    for name, count in self.dns_routed_per_host.items()
-                )
-                lines.append(f"ToR qname-hash routing: {routed}")
+            lines.extend(self._host_table(hosts, self.duration_us))
+            if routed:
+                pairs = ", ".join(f"{name}={count}" for name, count in routed.items())
+                lines.append(f"ToR {routing} routing: {pairs}")
         if self.all_hosts:
             agg = self.aggregate_mean_throughput_pps(0.0, self.duration_us)
             lines.append(f"aggregate throughput: {agg / 1e3:.1f} kpps")
         for group in self.paxos_groups:
             lines.append(
-                f"paxos[{group.name}]: {group.decided} decisions, "
+                f"paxos[{group.name}]: {group.responses} decisions, "
                 f"{group.retries} retries, shifts at "
                 + (
                     ", ".join(f"{t / 1e6:.2f}s" for t in group.shift_times_us)
@@ -344,7 +345,7 @@ class ScenarioResult:
         return "\n".join(lines)
 
     @staticmethod
-    def _host_table(hosts: List[HostResult], duration_us: float) -> List[str]:
+    def _host_table(hosts: List[PlacementResult], duration_us: float) -> List[str]:
         # the device column appears only on heterogeneous racks, keeping
         # the default-device scenario outputs identical to the pre-device
         # renderer
@@ -375,15 +376,41 @@ class ScenarioResult:
 
 
 @dataclass
-class BuiltHost:
-    """The wired stack behind one KVS host or DNS replica (construction
-    handles).  ``app`` says which: ``software``/``hardware`` are
+class BuiltPlacement:
+    """The surface every wired placement answers: a KVS host, a DNS
+    replica or a Paxos group (construction handles).
+
+    ``clients`` carry the placement's load (a host's one client, a
+    group's closed-loop clients) and ``sampling`` buckets its series.
+    ``power_sampler`` reads the CPU power its series report.
+    ``wall_samplers`` maps every box the placement claims to that box's
+    wall-power sampler (a *shared* acceptor box appears in several
+    groups' maps, pointing at one sampler object), and :meth:`busy_us_on`
+    weighs the claim.  Each kind also answers ``offered_pps``,
+    :meth:`stop`, ``shift_times_us()`` and :meth:`samples`.
+    """
+
+    app: str
+    spec: Union[KvsHostSpec, DnsHostSpec, PaxosSpec]
+    clients: List[Union[KvsClient, DnsClient, PaxosClient]]
+    power_sampler: PeriodicSampler
+    wall_samplers: Dict[str, PeriodicSampler]
+    sampling: SamplingSpec
+
+    def busy_us_on(self, node_name: str) -> float:
+        """This placement's weight in the proportional split of a box it
+        claims; a box with one claimant takes all of it, so the weight of
+        a sole owner is moot."""
+        return 1.0
+
+
+@dataclass
+class BuiltHost(BuiltPlacement):
+    """A KVS host or DNS replica: ``software``/``hardware`` are
     memcached/LaKe or NSD/Emu DNS.  A NIC-only host has no card, hardware
     or classifier (all None); its software server takes every packet.
     """
 
-    app: str
-    spec: Union[KvsHostSpec, DnsHostSpec]
     server: object
     card: Optional[object]
     software: SoftwareService
@@ -391,40 +418,63 @@ class BuiltHost:
     classifier: Optional[PacketClassifier]
     service: OnDemandService
     controller: Optional[ShiftController]
-    client: Union[KvsClient, DnsClient]
-    power_sampler: PeriodicSampler
-    wall_sampler: PeriodicSampler
     #: co-located CPU jobs (only KVS hosts declare them)
     jobs: List[ChainerMNWorkload]
     offered_pps: float
 
+    def stop(self) -> None:
+        if self.controller is not None:
+            self.controller.stop()
+
+    def shift_times_us(self) -> List[float]:
+        return self.service.shift_times_us()
+
+    def samples(self) -> Tuple[Sequence[float], Sequence[float]]:
+        """(reply times, latencies): the one client's columns, in place."""
+        series = self.clients[0].latency_series
+        return series.times, series.values
+
 
 @dataclass
-class BuiltPaxosGroup:
-    """One wired consensus group (construction handles)."""
+class BuiltPaxosGroup(BuiltPlacement):
+    """A consensus group: its leaders, acceptors and learner stay behind
+    the deployment, the shift controller and the gap scanner."""
 
-    spec: PaxosSpec
     deployment: PaxosDeployment
     controller: PaxosShiftController
-    clients: List[PaxosClient]
     gap_scanner: LearnerGapScanner
-    power_sampler: PeriodicSampler
-    #: server/card name -> wall-power sampler for every node the group owns
-    #: (a *shared* acceptor box appears in several groups' maps, pointing
-    #: at one sampler object)
-    wall_samplers: Dict[str, PeriodicSampler] = field(default_factory=dict)
     #: node name -> this group's software role on it, for the busy-time
     #: weights of the shared-host power split
-    roles_by_node: Dict[str, SoftwarePaxosRole] = field(default_factory=dict)
+    roles_by_node: Dict[str, SoftwarePaxosRole]
+    #: a closed loop offers no open-loop rate
+    offered_pps: ClassVar[float] = 0.0
 
     def busy_us_on(self, node_name: str) -> float:
-        """Cumulative service busy time this group spent on a node (the
-        proportional-split weight; nodes without a software role — the
-        hardware leader card — are sole-owned, so the weight is moot)."""
+        """Cumulative service busy time this group spent on a node; the
+        hardware leader card has no software role and is sole-owned."""
         role = self.roles_by_node.get(node_name)
         if role is None:
             return 1.0
         return role.served * role.service_time_us
+
+    def stop(self) -> None:
+        self.controller.stop()
+        self.gap_scanner.stop()
+
+    def shift_times_us(self) -> List[float]:
+        return self.controller.shift_times_us()
+
+    def samples(self) -> Tuple[Sequence[float], Sequence[float]]:
+        """(decision times, latencies) of every client.  One (time,
+        latency) sort merges the clients' series; it also sets the order
+        of equal-time samples inside a window's mean."""
+        samples = []
+        for client in self.clients:
+            samples.extend(
+                zip(client.latency_series.times, client.latency_series.values)
+            )
+        samples.sort()
+        return [t for t, _ in samples], [latency for _, latency in samples]
 
 
 class ScenarioRun:
@@ -436,10 +486,8 @@ class ScenarioRun:
         sim: Simulator,
         topology: Topology,
         switch: Switch,
-        kvs_hosts: List[BuiltHost],
-        router: Optional[KeyShardRouter],
-        paxos_groups: List[BuiltPaxosGroup],
-        dns_hosts: Optional[List[BuiltHost]] = None,
+        placements: List[BuiltPlacement],
+        router: Optional[KeyShardRouter] = None,
         dns_router: Optional[KeyShardRouter] = None,
         fabric: Optional[Fabric] = None,
         fabric_controller: Optional[FabricController] = None,
@@ -449,12 +497,11 @@ class ScenarioRun:
         self.topology = topology
         #: the rack ToR on single-switch scenarios, the spine on fabrics
         self.switch = switch
-        self.kvs_hosts = kvs_hosts
+        #: every placement: KVS hosts, DNS replicas, then Paxos groups
+        self.placements = placements
         #: the ToR's :class:`KeyShardRouter` on single-switch scenarios, or
         #: the fabric-wide :class:`RouterFleet` (same ``per_host`` surface)
         self.router = router
-        self.paxos_groups = paxos_groups
-        self.dns_hosts = dns_hosts or []
         self.dns_router = dns_router
         self.fabric = fabric
         self.fabric_controller = fabric_controller
@@ -469,12 +516,8 @@ class ScenarioRun:
         self._executed = True
         duration_us = sec(self.spec.duration_s)
         self.sim.run_until(duration_us)
-        for host in (*self.kvs_hosts, *self.dns_hosts):
-            if host.controller is not None:
-                host.controller.stop()
-        for group in self.paxos_groups:
-            group.controller.stop()
-            group.gap_scanner.stop()
+        for placement in self.placements:
+            placement.stop()
         if self.fabric_controller is not None:
             self.fabric_controller.stop()
         return self._collect(duration_us)
@@ -483,32 +526,22 @@ class ScenarioRun:
 
     def _collect(self, duration_us: float) -> ScenarioResult:
         bucket_us = msec(self.spec.sampling.bucket_ms)
-        host_results = [
-            self._collect_host(host, duration_us) for host in self.kvs_hosts
-        ]
-        dns_results = [
-            self._collect_host(host, duration_us) for host in self.dns_hosts
-        ]
-        # Aggregates always use the scenario-level bucket so hosts with
-        # per-host sampling overrides still sum onto aligned buckets.
-        aggregate_thr = _sum_series(
-            [
-                bucket_rate_series(
-                    host.client.response_times_us, bucket_us, duration_us
+        placements = []
+        rack_throughput = []
+        rack_power = []
+        for placement in self.placements:
+            placements.append(self._collect_placement(placement, duration_us))
+            if placement.app != "paxos":
+                # The rack aggregates (KVS+DNS) always use the
+                # scenario-level bucket so hosts with per-host sampling
+                # overrides still sum onto aligned buckets.
+                times, _ = placement.samples()
+                rack_throughput.append(
+                    bucket_rate_series(times, bucket_us, duration_us)
                 )
-                for host in (*self.kvs_hosts, *self.dns_hosts)
-            ]
-        )
-        aggregate_pw = _sum_series(
-            [
-                _power_series(host.power_sampler, bucket_us, duration_us)
-                for host in (*self.kvs_hosts, *self.dns_hosts)
-            ]
-        )
-        paxos_results = [
-            self._collect_paxos(group, bucket_us, duration_us)
-            for group in self.paxos_groups
-        ]
+                rack_power.append(
+                    _power_series(placement.power_sampler, bucket_us, duration_us)
+                )
         power_by_placement, total_wall_power_w = self._attribute_wall_power()
         fabric_racks: Tuple[str, ...] = ()
         rack_kvs_packets: Dict[str, int] = {}
@@ -537,15 +570,13 @@ class ScenarioRun:
         return ScenarioResult(
             name=self.spec.name,
             duration_us=duration_us,
-            hosts=host_results,
-            paxos_groups=paxos_results,
-            aggregate_throughput_series=aggregate_thr,
-            aggregate_power_series=aggregate_pw,
+            placements=placements,
+            aggregate_throughput_series=_sum_series(rack_throughput),
+            aggregate_power_series=_sum_series(rack_power),
             routed_per_host=dict(self.router.per_host) if self.router else {},
             dns_routed_per_host=(
                 dict(self.dns_router.per_host) if self.dns_router else {}
             ),
-            dns_hosts=dns_results,
             power_by_placement=power_by_placement,
             total_wall_power_w=total_wall_power_w,
             fabric_racks=fabric_racks,
@@ -567,106 +598,80 @@ class ScenarioRun:
         double-count or drop.
         """
         entries = [
-            (host.spec.name, host.wall_sampler.series.values, host.spec.name, 1.0)
-            for host in (*self.kvs_hosts, *self.dns_hosts)
+            (
+                node_name,
+                sampler.series.values,
+                placement.spec.name,
+                placement.busy_us_on(node_name),
+            )
+            for placement in self.placements
+            for node_name, sampler in placement.wall_samplers.items()
         ]
-        for group in self.paxos_groups:
-            for node_name, sampler in group.wall_samplers.items():
-                entries.append(
-                    (
-                        node_name,
-                        sampler.series.values,
-                        group.spec.name,
-                        group.busy_us_on(node_name),
-                    )
-                )
         return attribute_power(*merge_power_claims(entries))
 
-    def _collect_host(self, host: BuiltHost, duration_us: float) -> HostResult:
-        bucket_us = msec((host.spec.sampling or self.spec.sampling).bucket_ms)
-        client = host.client
-        throughput = bucket_rate_series(
-            client.response_times_us, bucket_us, duration_us
-        )
-        latency = bucket_mean_series(
-            client.latency_series.times,
-            client.latency_series.values,
-            bucket_us,
-            duration_us,
-        )
-        power = _power_series(host.power_sampler, bucket_us, duration_us)
-        # the host table's two hardware columns
-        hardware = host.hardware
-        if hardware is None:
-            hw_hits = hw_miss_forwards = 0
-        elif host.app == "kvs":
-            # LaKe: hits in either cache layer, misses forwarded to memcached
-            hw_hits = hardware.l1.hits + (
-                hardware.l2.hits if hardware.l2 is not None else 0
+    def _collect_placement(
+        self, placement: BuiltPlacement, duration_us: float
+    ) -> PlacementResult:
+        spec = placement.spec
+        bucket_us = msec(placement.sampling.bucket_ms)
+        times, latencies = placement.samples()
+        shift_times = placement.shift_times_us()
+        # the per-app counters
+        if placement.app == "paxos":
+            counters = dict(
+                retries=sum(c.retries for c in placement.clients),
+                stall_us=_post_shift_stalls(shift_times, times),
             )
-            hw_miss_forwards = hardware.miss_forwards
+        elif placement.hardware is None:
+            counters = {}  # a NIC-only host: no card serves anything
+        elif placement.app == "kvs":
+            # LaKe: hits in either cache layer, misses forwarded to memcached
+            lake = placement.hardware
+            counters = dict(
+                hw_hits=lake.l1.hits + (lake.l2.hits if lake.l2 is not None else 0),
+                hw_miss_forwards=lake.miss_forwards,
+            )
         else:
             # Emu: queries answered on the card, names deeper than its parser
-            hw_hits = hardware.served
-            hw_miss_forwards = hardware.deep_query_fallbacks
-        return HostResult(
-            name=host.spec.name,
-            offered_pps=host.offered_pps,
-            shift_times_us=host.service.shift_times_us(),
-            throughput_series=throughput,
-            latency_series=latency,
-            power_series=power,
-            hw_hits=hw_hits,
-            hw_miss_forwards=hw_miss_forwards,
-            responses=client.responses,
-            app=host.app,
-            controller_kind=host.spec.controller.kind,
-            device_kind=host.spec.device.kind,
+            emu = placement.hardware
+            counters = dict(
+                hw_hits=emu.served, hw_miss_forwards=emu.deep_query_fallbacks
+            )
+        return PlacementResult(
+            name=spec.name,
+            app=placement.app,
+            controller_kind=spec.controller.kind,
+            device_kind=spec.device.kind,
+            offered_pps=placement.offered_pps,
+            shift_times_us=shift_times,
+            throughput_series=bucket_rate_series(times, bucket_us, duration_us),
+            latency_series=bucket_mean_series(
+                times, latencies, bucket_us, duration_us
+            ),
+            power_series=_power_series(
+                placement.power_sampler, bucket_us, duration_us
+            ),
+            # every reply (a group's: every decision) records one sample
+            responses=len(times),
+            **counters,
         )
 
-    def _collect_paxos(
-        self, group: BuiltPaxosGroup, bucket_us: float, duration_us: float
-    ) -> PaxosResult:
-        clients = group.clients
-        # one (time, latency) sort merges the clients' series; it also
-        # sets the order of equal-time samples inside a window's mean
-        samples = []
-        for client in clients:
-            samples.extend(
-                zip(client.latency_series.times, client.latency_series.values)
-            )
-        samples.sort()
-        decision_times = [t for t, _ in samples]
-        latencies = [latency for _, latency in samples]
-        throughput = bucket_rate_series(decision_times, bucket_us, duration_us)
-        latency = bucket_mean_series(
-            decision_times, latencies, bucket_us, duration_us
-        )
-        power = _power_series(group.power_sampler, bucket_us, duration_us)
-        # Post-shift stall: the largest decision gap in the 300ms following
-        # each shift (in-flight decisions may land just after the rule
-        # flip; the stall is the silence until client retries).
-        shift_times = group.controller.shift_times_us()
-        stalls = []
-        for shift_time in shift_times:
-            window = [shift_time] + [
-                t
-                for t in decision_times
-                if shift_time < t <= shift_time + msec(300.0)
-            ]
-            if len(window) > 1:
-                gaps = [b - a for a, b in zip(window, window[1:])]
-                stalls.append(max(gaps))
-        return PaxosResult(
-            throughput_series=throughput,
-            latency_series=latency,
-            power_series=power,
-            shift_times_us=shift_times,
-            decided=sum(c.decided for c in clients),
-            retries=sum(c.retries for c in clients),
-            stall_us=stalls,
-            name=group.spec.name,
-        )
+
+def _post_shift_stalls(
+    shift_times: List[float], decision_times: Sequence[float]
+) -> List[float]:
+    """The largest decision gap in the 300ms following each shift
+    (in-flight decisions may land just after the rule flip; the stall is
+    the silence until client retries)."""
+    stalls = []
+    for shift_time in shift_times:
+        window = [shift_time] + [
+            t for t in decision_times if shift_time < t <= shift_time + msec(300.0)
+        ]
+        if len(window) > 1:
+            gaps = [b - a for a, b in zip(window, window[1:])]
+            stalls.append(max(gaps))
+    return stalls
 
 
 def merge_power_claims(
@@ -928,6 +933,8 @@ class ScenarioBuilder:
         #: one wall sampler per physical box, even when placements share it
         self._wall_samplers: Dict[str, PeriodicSampler] = {}
 
+        # built KVS, Paxos, DNS (event seqs and RNG draws follow this
+        # order); listed KVS, DNS, Paxos
         kvs_hosts: List[BuiltHost] = []
         router = None
         if spec.kvs_hosts:
@@ -943,20 +950,16 @@ class ScenarioBuilder:
         if spec.dns_hosts:
             dns_hosts, dns_router = self._build_dns_rack(sim, streams, topo, switch)
 
-        fabric_controller = self._build_fabric_controller(sim, kvs_hosts, router)
-
         return ScenarioRun(
             spec,
             sim,
             topo,
             switch,
-            kvs_hosts,
+            [*kvs_hosts, *dns_hosts, *paxos_groups],
             router,
-            paxos_groups,
-            dns_hosts=dns_hosts,
             dns_router=dns_router,
             fabric=self._fabric,
-            fabric_controller=fabric_controller,
+            fabric_controller=self._build_fabric_controller(sim, kvs_hosts, router),
         )
 
     def run(self) -> ScenarioResult:
@@ -1054,11 +1057,6 @@ class ScenarioBuilder:
         ctl_spec = self.spec.fabric_controller
         if ctl_spec is None:
             return None
-        if not kvs_hosts:
-            raise ConfigurationError(
-                f"scenario {self.spec.name!r}: the fabric controller drives "
-                "the sharded KVS fleet and needs at least one KVS host"
-            )
         placements = []
         for host in kvs_hosts:
             device = get_device(host.spec.device.kind)
@@ -1267,7 +1265,7 @@ class ScenarioBuilder:
                 if target and target != host.spec.name and workload.preload:
                     sharded.stream(s).preload(by_name[target].software.store.set)
         self._schedule_phases(
-            sim, workload.phases, [host.client for host in hosts], weights
+            sim, workload.phases, [host.clients[0] for host in hosts], weights
         )
         return hosts, router
 
@@ -1331,7 +1329,7 @@ class ScenarioBuilder:
             for host_spec, host_traffic in zip(host_specs, traffic)
         ]
         self._schedule_phases(
-            sim, workload.phases, [host.client for host in hosts], weights
+            sim, workload.phases, [host.clients[0] for host in hosts], weights
         )
         return hosts, router
 
@@ -1445,6 +1443,10 @@ class ScenarioBuilder:
         return BuiltHost(
             app=app,
             spec=host_spec,
+            clients=[client],
+            power_sampler=power_sampler,
+            wall_samplers={host_spec.name: wall_sampler},
+            sampling=sampling,
             server=server,
             card=card,
             software=software,
@@ -1452,9 +1454,6 @@ class ScenarioBuilder:
             classifier=classifier,
             service=service,
             controller=controller,
-            client=client,
-            power_sampler=power_sampler,
-            wall_sampler=wall_sampler,
             jobs=jobs,
             offered_pps=traffic.rate_pps,
         )
@@ -1477,15 +1476,13 @@ class ScenarioBuilder:
         px = self._qualified(px)
         switch = self._fabric if self._fabric is not None else switch
         acceptor_names = px.acceptor_names()
-        learner_names = [px.learner_name]
         directory = _Directory(
-            acceptor_names, learner_names, leader_address=px.leader_address
+            acceptor_names, [px.learner_name], leader_address=px.leader_address
         )
-        roles_by_node: Dict[str, SoftwarePaxosRole] = {}
 
         # -- software leader on an i7 host
         sw_name = px.software_leader_name
-        sw_server = make_i7_server(sim, name=sw_name)
+        sw_server = self._paxos_server(sim, topo, sw_name)
         sw_leader = SoftwarePaxosRole(
             sim,
             sw_server,
@@ -1496,9 +1493,9 @@ class ScenarioBuilder:
             app_name=f"libpaxos-leader.{px.name}",
         )
         sw_server.set_packet_handler(sw_leader.offer)
-        topo.add(sw_server)
-        self._connect(topo, sw_name)
-        roles_by_node[sw_name] = sw_leader
+        #: node name -> this group's software role on it, in wall-sampler
+        #: order: leader, acceptors, learner
+        roles_by_node: Dict[str, SoftwarePaxosRole] = {sw_name: sw_leader}
 
         # -- hardware leader: the group's device behind its own port
         device = get_device(px.device.kind)
@@ -1521,50 +1518,36 @@ class ScenarioBuilder:
 
         # -- software acceptors and learner.  With explicit acceptor_hosts
         # the boxes may be shared with other groups: one server, one port,
-        # one wall sampler — and one role per group, dispatched by the
-        # sending leader.
-        group_servers = [sw_server]
+        # one wall sampler — and one role per group, which the box's
+        # fanout dispatches by the sending leader.
         for name in acceptor_names:
             if px.acceptor_hosts:
-                existing = self._shared_acceptor_hosts.get(name)
-                if existing is None:
-                    server = make_i7_server(sim, name=name)
-                    fanout = _PaxosRoleFanout(name)
-                    server.set_packet_handler(fanout.offer)
-                    topo.add(server)
-                    self._connect(topo, name)
-                    self._shared_acceptor_hosts[name] = (server, fanout)
-                else:
-                    server, fanout = existing
-                role = SoftwarePaxosRole(
-                    sim,
-                    server,
-                    AcceptorState(name, recovery_window=px.recovery_window),
-                    directory,
-                    capacity_pps=cal.LIBPAXOS_ACCEPTOR_CAPACITY_PPS,
-                    stack_latency_us=cal.LIBPAXOS_ACCEPTOR_STACK_US,
-                    app_name=f"acceptor.{px.name}.{name}",
-                )
-                fanout.register((sw_name, hw_name), role)
+                if name not in self._shared_acceptor_hosts:
+                    box = self._paxos_server(sim, topo, name)
+                    box_fanout = _PaxosRoleFanout(name)
+                    box.set_packet_handler(box_fanout.offer)
+                    self._shared_acceptor_hosts[name] = (box, box_fanout)
+                server, fanout = self._shared_acceptor_hosts[name]
+                app_name = f"acceptor.{px.name}.{name}"
             else:
-                server = make_i7_server(sim, name=name)
-                role = SoftwarePaxosRole(
-                    sim,
-                    server,
-                    AcceptorState(name, recovery_window=px.recovery_window),
-                    directory,
-                    capacity_pps=cal.LIBPAXOS_ACCEPTOR_CAPACITY_PPS,
-                    stack_latency_us=cal.LIBPAXOS_ACCEPTOR_STACK_US,
-                    app_name=f"acceptor.{name}",
-                )
+                server, fanout = self._paxos_server(sim, topo, name), None
+                app_name = f"acceptor.{name}"
+            role = SoftwarePaxosRole(
+                sim,
+                server,
+                AcceptorState(name, recovery_window=px.recovery_window),
+                directory,
+                capacity_pps=cal.LIBPAXOS_ACCEPTOR_CAPACITY_PPS,
+                stack_latency_us=cal.LIBPAXOS_ACCEPTOR_STACK_US,
+                app_name=app_name,
+            )
+            if fanout is None:
                 server.set_packet_handler(role.offer)
-                topo.add(server)
-                self._connect(topo, name)
-            group_servers.append(server)
+            else:
+                fanout.register((sw_name, hw_name), role)
             roles_by_node[name] = role
 
-        learner_server = make_i7_server(sim, name=px.learner_name)
-        group_servers.append(learner_server)
+        learner_server = self._paxos_server(sim, topo, px.learner_name)
         learner_role = SoftwarePaxosRole(
             sim,
             learner_server,
@@ -1575,8 +1558,6 @@ class ScenarioBuilder:
             app_name=f"learner.{px.name}",
         )
         learner_server.set_packet_handler(learner_role.offer)
-        topo.add(learner_server)
-        self._connect(topo, px.learner_name)
         roles_by_node[px.learner_name] = learner_role
         gap_scanner = LearnerGapScanner(sim, learner_role)
 
@@ -1605,7 +1586,8 @@ class ScenarioBuilder:
         for at_s, to_hardware in px.shifts:
             controller.schedule_shift(sec(at_s), to_hardware=to_hardware)
 
-        # -- closed-loop clients
+        # -- closed-loop clients, started after a short warm-up so the
+        # software leader finished phase 1
         clients = []
         for name in px.client_names():
             client = PaxosClient(
@@ -1616,14 +1598,12 @@ class ScenarioBuilder:
             )
             topo.add(client)
             self._connect(topo, client.name)
-            clients.append(client)
-        # start after a short warm-up so the software leader finished phase 1
-        for client in clients:
             sim.schedule_at(
                 msec(px.client_start_ms),
                 lambda c=client: c.start_closed_loop(px.client_window),
                 name="client.start",
             )
+            clients.append(client)
 
         power_sampler = PeriodicSampler(
             sim,
@@ -1635,20 +1615,30 @@ class ScenarioBuilder:
         # attribute the rack's draw per group; the hardware leader card has
         # no host CPU, its probe is the card itself.
         wall_samplers = {
-            server.name: self._wall_sampler(sim, server.name, server.wall_power_w)
-            for server in group_servers
+            name: self._wall_sampler(sim, name, role.server.wall_power_w)
+            for name, role in roles_by_node.items()
         }
         wall_samplers[hw_name] = self._wall_sampler(sim, hw_name, hw_card.power_w)
         return BuiltPaxosGroup(
+            app="paxos",
             spec=px,
-            deployment=deployment,
-            controller=controller,
             clients=clients,
-            gap_scanner=gap_scanner,
             power_sampler=power_sampler,
             wall_samplers=wall_samplers,
+            sampling=self.spec.sampling,
+            deployment=deployment,
+            controller=controller,
+            gap_scanner=gap_scanner,
             roles_by_node=roles_by_node,
         )
+
+    def _paxos_server(self, sim: Simulator, topo: Topology, name: str):
+        """An i7 box for a Paxos role, on the switching layer (its packet
+        handler is set once its role exists)."""
+        server = make_i7_server(sim, name=name)
+        topo.add(server)
+        self._connect(topo, name)
+        return server
 
 
 def run_scenario_spec(spec: ScenarioSpec) -> ScenarioResult:

@@ -686,6 +686,11 @@ class ScenarioSpec:
                     )
         if self.fabric_controller is not None:
             self.fabric_controller.validate_for("fabric", self.name)
+            if not self.kvs_hosts:
+                raise ConfigurationError(
+                    f"scenario {self.name!r}: the fabric controller drives "
+                    "the sharded KVS fleet and needs at least one KVS host"
+                )
 
     # -- per-app checks ------------------------------------------------------
 

@@ -448,14 +448,13 @@ def run_pinned(spec: ScenarioSpec, mode: str) -> Tuple[ScenarioRun, ScenarioResu
 
 
 def _aggregate(run: ScenarioRun, result: ScenarioResult, mode: str) -> SweepAggregate:
-    duration_s = result.duration_us / 1e6
-    decided = sum(g.decided for g in result.paxos_groups)
-    achieved_pps = (result.total_responses + decided) / duration_s
+    # every placement serves: client replies, or a group's decisions
+    achieved_pps = sum(p.responses for p in result.placements) / (
+        result.duration_us / 1e6
+    )
     latencies: List[float] = []
-    for host in (*run.kvs_hosts, *run.dns_hosts):
-        latencies.extend(host.client.latency_series.values)
-    for group in run.paxos_groups:
-        for client in group.clients:
+    for placement in run.placements:
+        for client in placement.clients:
             latencies.extend(client.latency_series.values)
     total_power_w = result.total_wall_power_w
     if total_power_w <= 0.0 and achieved_pps > 0.0:

@@ -51,9 +51,12 @@ SWEEP_FABRIC_PARAMS = dict(
 #: wires, which the rendered goldens above (rounded to 0.1, KVS-only) never
 #: show: a NIC-only DNS replica, per-host sampling, a hardware start, a
 #: non-default card, a heterogeneous rack, a consolidated fabric under the
-#: centralized controller and the Figure 6 co-located job.  Captured before
-#: the KVS and DNS host paths of the builder were merged into one, so it
-#: pins the behaviour of both old paths.  Each case is
+#: centralized controller and the Figure 6 co-located job; the rack-mixed
+#: cases carry Paxos groups too.  Captured before the KVS and DNS host
+#: paths of the builder were merged into one, so it pins the behaviour of
+#: both old paths.  The repr lines were respelled once, when the host and
+#: group result types became one ``PlacementResult`` (every value, and
+#: every ``events:`` line, stayed as it was).  Each case is
 #: ``(registered scenario, builder overrides, {host: spec edits})``; an
 #: edit's ``device``/``controller`` name a kind and ``sampling`` is a
 #: ``(power_interval_ms, bucket_ms)`` pair.

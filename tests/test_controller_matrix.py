@@ -103,7 +103,7 @@ def _kvs_spec(kind: str, duration_s: float = 3.0) -> ScenarioSpec:
 @pytest.mark.parametrize("kind", sorted(_KVS_MATRIX))
 def test_kvs_controller_kind_builds_runs_and_shifts(kind):
     run = ScenarioBuilder(_kvs_spec(kind)).build()
-    host = run.kvs_hosts[0]
+    host = run.placements[0]
     assert isinstance(host.controller, ShiftController)
     assert host.controller.kind == kind
     result = run.execute()
@@ -122,7 +122,7 @@ def test_kind_none_builds_no_controller_and_never_shifts():
         kvs_workload=KvsWorkloadSpec(keyspace=2_000, rate_kpps=4.0),
     )
     run = ScenarioBuilder(spec).build()
-    assert run.kvs_hosts[0].controller is None
+    assert run.placements[0].controller is None
     result = run.execute()
     assert result.hosts[0].shift_times_us == []
     assert result.hosts[0].controller_kind == "none"
@@ -201,15 +201,14 @@ def test_paxos_rate_controller_shifts_autonomously():
         sampling=SamplingSpec(power_interval_ms=50.0, bucket_ms=50.0),
     )
     run = ScenarioBuilder(spec).build()
-    assert run.paxos_groups[0].controller.kind == "rate"
+    built = run.placements[0]
+    assert built.controller.kind == "rate"
     result = run.execute()
     group = result.paxos_groups[0]
-    assert group.decided > 0
+    assert group.responses > 0
     assert group.shift_times_us, "sustained decision rate never shifted the leader"
     # the shift moved the leader to the hardware candidate
-    assert (
-        run.paxos_groups[0].deployment.active_leader_node == "grp-hw-leader"
-    )
+    assert built.deployment.active_leader_node == "grp-hw-leader"
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_leader_shift_end_to_end():
     assert hw_leader.state.ready
     assert not sw_leader.state.ready
     # decisions continued after the shift
-    late = [t for t in client.decision_times_us if t > msec(450)]
+    late = [t for t in client.latency_series.times if t > msec(450)]
     assert len(late) > 100
 
 
@@ -197,7 +197,7 @@ def test_route_addresses_each_role_output():
     votes = _route(acceptors[0], proposal, directory)
     assert [dst for dst, _ in votes] == ["l0", "l1"]
     learner = LearnerState("l0", 3)
-    assert _route(learner, votes[0][1], directory) == []
+    assert list(_route(learner, votes[0][1], directory)) == []
     second_vote = _route(acceptors[1], proposal, directory)[0][1]
     decided = _route(learner, second_vote, directory)
     assert [(dst, d.instance, d.value) for dst, d in decided] == [("c0", 1, command)]
@@ -206,6 +206,50 @@ def test_route_addresses_each_role_output():
     # a message a role does not handle produces no output
     assert list(_route(learner, Phase1A(phase1.round, "ldr"), directory)) == []
     assert list(_route(acceptors[0], ClientRequest(command), directory)) == []
+
+
+def test_learner_delivers_only_after_a_deciding_vote(monkeypatch):
+    """Only a vote that decides its instance can extend the delivered
+    prefix.  A shuffled vote stream (instances out of order, duplicate
+    votes, a gap filled last) yields the (client, decision) stream that
+    delivering after every vote yields, with one delivery per deciding
+    vote."""
+    import random
+
+    from repro.apps.paxos.deployment import _route
+    from repro.apps.paxos.messages import ClientCommand, Phase2B
+
+    directory = _Directory(["a0", "a1", "a2"], ["l0"])
+    commands = {i: ClientCommand(f"c{i % 3}", i) for i in range(1, 41)}
+    votes = [
+        Phase2B(1, i, acceptor, command)
+        for i, command in commands.items()
+        if i != 17
+        for acceptor in directory.acceptors
+    ]
+    votes += votes[::5]  # duplicates
+    random.Random(3).shuffle(votes)
+    votes += [Phase2B(1, 17, a, commands[17]) for a in directory.acceptors]
+
+    reference = LearnerState("l0", 3)
+    expected = []
+    for vote in votes:
+        reference.handle_phase2b(vote)
+        expected += [(d.value.client, d) for d in reference.deliverable()]
+    assert [d.instance for _, d in expected] == list(commands)
+
+    learner = LearnerState("l0", 3)
+    calls = []
+    deliverable = learner.deliverable
+
+    def counted():
+        calls.append(learner.delivered_upto)
+        return deliverable()
+
+    monkeypatch.setattr(learner, "deliverable", counted)
+    routed = [pair for vote in votes for pair in _route(learner, vote, directory)]
+    assert routed == expected
+    assert len(calls) == len(commands)  # one per deciding vote
 
 
 def test_route_rejects_an_unknown_role_state():

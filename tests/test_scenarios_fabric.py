@@ -13,10 +13,13 @@ from repro.scenarios import (
     FabricSpec,
     KvsHostSpec,
     KvsWorkloadSpec,
+    PaxosSpec,
+    ScenarioBuilder,
     ScenarioSpec,
     UplinkSpec,
     build_spec,
     run_scenario,
+    scenario_names,
 )
 
 
@@ -72,6 +75,17 @@ def test_fabric_controller_without_fabric_rejected():
         build_spec("fabric-kvs-crossrack"), fabric=None, kvs_hosts=()
     )
     with pytest.raises(ConfigurationError):
+        spec.validate()
+
+
+def test_fabric_controller_without_kvs_host_fails_at_validate():
+    spec = dataclasses.replace(
+        build_spec("fabric-kvs-crossrack"),
+        kvs_hosts=(),
+        kvs_workload=None,
+        paxos_groups=(PaxosSpec(name="px"),),
+    )
+    with pytest.raises(ConfigurationError, match="needs at least one KVS host"):
         spec.validate()
 
 
@@ -177,10 +191,26 @@ def test_fabric_paxos_split_quorum_crosses_the_spine():
     assert len(result.paxos_groups) == 1
     group = result.paxos_groups[0]
     assert group.name == "rack0/paxos"
-    assert group.decided > 0
+    assert group.responses > 0
     assert len(group.shift_times_us) == 2
     # the rack1 acceptor's 2A/2B round-trips transit the spine
     assert result.spine_crossrack_packets > 0
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in scenario_names() if build_spec(n).fabric is not None]
+)
+def test_cli_list_counts_every_server_box(name):
+    """``python -m repro list`` counts the servers the build wires: every
+    KVS and DNS host plus each group's software leader, learner and
+    acceptor boxes, a shared box once (its hardware leader is a card)."""
+    from repro.__main__ import _fabric_topologies
+    from repro.host.server import Server
+
+    row = _fabric_topologies()[name]
+    topology = ScenarioBuilder(build_spec(name)).build().topology
+    servers = [n for n in topology.nodes.values() if isinstance(n, Server)]
+    assert f", {len(servers)} server host(s)," in row
 
 
 def test_fabric_controller_spec_rejects_unknown_kind():

@@ -322,7 +322,7 @@ def test_residual_subrack_host_series_byte_identical_to_full_rack():
     full = ScenarioBuilder(od).build().execute()
     sub = ScenarioBuilder(residual).build().execute()
     name = residual.kvs_hosts[0].name
-    a, b = full.host(name), sub.host(name)
+    a, b = full.placement(name), sub.placement(name)
     assert a.throughput_series == b.throughput_series
     assert a.latency_series == b.latency_series
     assert a.power_series == b.power_series

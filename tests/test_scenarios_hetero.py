@@ -68,7 +68,7 @@ class TestDeviceSpecValidation:
             device=DeviceSpec(kind="netfpga-sume", params=dict(pe_count=2))
         )
         run = ScenarioBuilder(spec).build()
-        card = run.kvs_hosts[0].card
+        card = run.placements[0].card
         assert sum(1 for m in card.modules if m.startswith("pe")) == 2
 
     def test_none_device_rejects_start_in_hardware(self):
@@ -125,16 +125,16 @@ class TestNicOnlyHost:
     def test_builds_without_card_or_classifier(self):
         spec = _kvs_spec(device=NO_DEVICE, controller=NO_CONTROLLER)
         run = ScenarioBuilder(spec).build()
-        host = run.kvs_hosts[0]
+        host = run.placements[0]
         assert host.card is None
         assert host.hardware is None
         assert host.classifier is None
         assert host.server.nic is not None  # the NIC stays in
         result = run.execute()
-        assert result.host("h0").responses > 0
-        assert result.host("h0").device_kind == "none"
-        assert result.host("h0").hw_hits == 0
-        assert result.host("h0").shift_times_us == []
+        assert result.placement("h0").responses > 0
+        assert result.placement("h0").device_kind == "none"
+        assert result.placement("h0").hw_hits == 0
+        assert result.placement("h0").shift_times_us == []
 
     def test_wall_power_includes_the_nic_not_a_card(self):
         """A NIC-only host's wall draw is platform + 3W NIC — below any
@@ -145,8 +145,8 @@ class TestNicOnlyHost:
         ).build()
         carded.execute()
         nic_only.execute()
-        card_w = carded.kvs_hosts[0].wall_sampler.series.values[0]
-        nic_w = nic_only.kvs_hosts[0].wall_sampler.series.values[0]
+        card_w = carded.placements[0].wall_samplers["h0"].series.values[0]
+        nic_w = nic_only.placements[0].wall_samplers["h0"].series.values[0]
         assert nic_w < card_w
 
 
@@ -272,7 +272,7 @@ class TestSharedAcceptors:
 
     def test_two_groups_share_boxes_and_split_power(self):
         result = run_scenario("rack-paxos-shared", duration_s=1.2)
-        assert all(g.decided > 0 for g in result.paxos_groups)
+        assert all(g.responses > 0 for g in result.paxos_groups)
         assert result.attributed_power_w() == pytest.approx(
             result.total_wall_power_w, abs=1e-6
         )
@@ -285,7 +285,7 @@ class TestSharedAcceptors:
     def test_shared_boxes_are_sampled_once(self):
         spec = build_spec("rack-paxos-shared", duration_s=0.5)
         run = ScenarioBuilder(spec).build()
-        g0, g1 = run.paxos_groups
+        g0, g1 = run.placements
         for name in spec.paxos_groups[0].acceptor_hosts:
             assert g0.wall_samplers[name] is g1.wall_samplers[name]
 

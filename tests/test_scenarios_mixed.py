@@ -45,7 +45,7 @@ class TestPaxosMultiGroup:
         result = ScenarioBuilder(_two_group_spec()).run()
         assert len(result.paxos_groups) == 2
         for group in result.paxos_groups:
-            assert group.decided > 0
+            assert group.responses > 0
             assert len(group.shift_times_us) == 1
         firsts = result.paxos_distinct_first_shift_times()
         assert len(firsts) == 2  # distinct moments: independent schedules
@@ -53,10 +53,10 @@ class TestPaxosMultiGroup:
 
     def test_groups_have_distinct_logical_leaders(self):
         run = ScenarioBuilder(_two_group_spec()).build()
-        addresses = {g.deployment.logical_leader for g in run.paxos_groups}
+        addresses = {g.deployment.logical_leader for g in run.placements}
         assert addresses == {"g0-leader", "g1-leader"}
         # each group's switch rule routes its own address
-        for group in run.paxos_groups:
+        for group in run.placements:
             rule = run.switch.rule_for(
                 TrafficClass.PAXOS, group.deployment.logical_leader
             )
@@ -73,10 +73,10 @@ class TestPaxosMultiGroup:
         )
         run = ScenarioBuilder(spec).build()
         result = run.execute()
-        assert result.paxos_group("g0").shift_times_us == [sec(0.4)]
-        assert result.paxos_group("g1").shift_times_us == []
+        assert result.placement("g0").shift_times_us == [sec(0.4)]
+        assert result.placement("g1").shift_times_us == []
         leaders = {
-            g.spec.name: g.deployment.active_leader_node for g in run.paxos_groups
+            g.spec.name: g.deployment.active_leader_node for g in run.placements
         }
         assert leaders == {"g0": "g0-hw-leader", "g1": "g1-sw-leader"}
 
@@ -115,22 +115,22 @@ class TestAnycastDns:
         # the router's per-host counts must equal what each host received:
         # the per-shard client streams only generate names the qname hash
         # routes to their host, so nothing is cross-routed
-        for index, host in enumerate(run.dns_hosts):
+        for host in run.placements:
             assert host.software.rx + host.hardware.rx > 0
         assert run.dns_router.keyless == 0
 
     def test_replicas_answer_authoritatively_for_the_whole_zone(self):
         run = ScenarioBuilder(_dns_rack_spec()).build()
-        for host in run.dns_hosts:
+        for host in run.placements:
             assert len(host.software.zone) == 300
             assert len(host.hardware.zone) == 300
         result = run.execute()
         for host in result.dns_hosts:
             assert host.responses > 0
         # every response resolved (no NXDOMAIN: the zone covers all names)
-        for built in run.dns_hosts:
-            assert built.client.nxdomain == 0
-            assert built.client.resolved == built.client.responses
+        for (client,) in (built.clients for built in run.placements):
+            assert client.nxdomain == 0
+            assert client.resolved == client.responses
 
     def test_single_dns_host_addresses_host_directly(self):
         result = ScenarioBuilder(_dns_rack_spec(n_hosts=1)).run()
@@ -160,8 +160,7 @@ class TestRackMixed:
         assert len(result.hosts) == 2
         assert len(result.dns_hosts) == 2
         assert len(result.paxos_groups) == 2
-        assert all(h.responses > 0 for h in result.all_hosts)
-        assert all(g.decided > 0 for g in result.paxos_groups)
+        assert all(p.responses > 0 for p in result.placements)
 
     def test_paxos_groups_shift_independently(self, result):
         firsts = result.paxos_distinct_first_shift_times()
@@ -258,7 +257,7 @@ def test_shift_back_keeps_each_hosts_own_power_save():
         dns_workload=DnsWorkloadSpec(n_names=100, rate_kpps=2.0),
     )
     run = ScenarioBuilder(spec).build()
-    hosts = {host.spec.name: host for host in (*run.kvs_hosts, *run.dns_hosts)}
+    hosts = {host.spec.name: host for host in run.placements}
     idle_w = {}
     for name, host in hosts.items():
         host.service.shift_to_hardware("test", immediate=True)
@@ -271,8 +270,8 @@ def test_shift_back_keeps_each_hosts_own_power_save():
 def test_collect_reads_the_recorders_in_place(monkeypatch):
     """A short rack-mixed run keeps one copy of each sample: after
     execute(), every TimeSeries holds its name and two columns and
-    nothing else, and the clients' time views equal the lists the
-    clients used to append on every counted reply."""
+    nothing else, and each client's latency-series times equal the list
+    of its counted replies' arrival times."""
     import gc
 
     from repro.apps.dns.client import DnsClient
@@ -299,15 +298,17 @@ def test_collect_reads_the_recorders_in_place(monkeypatch):
     run = ScenarioBuilder(build_spec("rack-mixed", duration_s=0.5)).build()
     run.execute()
 
-    hosts = (*run.kvs_hosts, *run.dns_hosts)
-    for client in (host.client for host in hosts):
+    clients = [c for placement in run.placements for c in placement.clients]
+    assert {type(c).__name__ for c in clients} == {
+        "KvsClient",
+        "DnsClient",
+        "PaxosClient",
+    }
+    for client in clients:
         assert appended[client.name]
-        assert list(client.response_times_us) == appended[client.name]
-    for client in (c for group in run.paxos_groups for c in group.clients):
-        assert appended[client.name]
-        assert list(client.decision_times_us) == appended[client.name]
+        assert list(client.latency_series.times) == appended[client.name]
     series = [obj for obj in gc.get_objects() if isinstance(obj, TimeSeries)]
-    assert len(series) > len(hosts)
+    assert len(series) > len(clients)
     for one in series:
         held = [obj for obj in gc.get_referents(one) if obj is not TimeSeries]
         assert sorted(type(obj).__name__ for obj in held) == [
@@ -325,8 +326,7 @@ def test_each_client_stores_its_latencies_once():
 
     run = ScenarioBuilder(build_spec("rack-mixed", duration_s=0.1)).build()
     run.execute()
-    clients = [host.client for host in (*run.kvs_hosts, *run.dns_hosts)]
-    clients += [c for group in run.paxos_groups for c in group.clients]
+    clients = [c for placement in run.placements for c in placement.clients]
     assert {type(c).__name__ for c in clients} == {
         "KvsClient",
         "DnsClient",
@@ -351,5 +351,6 @@ def test_cancelled_paxos_timeouts_leave_the_heap():
     run = ScenarioBuilder(build_spec("rack-mixed", duration_s=0.3)).build()
     run.execute()
     sim = run.sim
-    assert sum(c.decided for g in run.paxos_groups for c in g.clients) > 1000
+    groups = [p for p in run.placements if p.app == "paxos"]
+    assert sum(c.decided for g in groups for c in g.clients) > 1000
     assert len(sim._heap) <= 2 * sim.pending + _PURGE_FLOOR

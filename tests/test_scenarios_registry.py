@@ -57,25 +57,18 @@ def test_registered_scenario_builds_runs_and_measures(name):
     result = run_scenario(name, **_SHORT[name])
     assert result.name == name
     assert result.duration_us > 0
-    if result.hosts:
-        for host in result.hosts:
-            assert host.responses > 0
-            assert host.throughput_series
-            assert any(v > 0 for _, v in host.throughput_series)
-            assert host.power_series
-            assert any(v > 0 for _, v in host.power_series)
-        assert result.aggregate_throughput_series
+    assert result.placements
+    for placement in result.placements:
+        assert placement.responses > 0
+        assert any(v > 0 for _, v in placement.throughput_series)
+        assert any(v > 0 for _, v in placement.power_series)
+    if result.all_hosts:
         assert any(v > 0 for _, v in result.aggregate_throughput_series)
         assert any(v > 0 for _, v in result.aggregate_power_series)
-    for dns_host in result.dns_hosts:
-        assert dns_host.responses > 0
-        assert any(v > 0 for _, v in dns_host.throughput_series)
-        assert any(v > 0 for _, v in dns_host.power_series)
-    for group in result.paxos_groups:
-        assert group.decided > 0
-        assert any(v > 0 for _, v in group.throughput_series)
-        assert any(v > 0 for _, v in group.power_series)
-    assert result.hosts or result.dns_hosts or result.paxos_groups
+    # every placement is attributed, in list order, and the attribution
+    # sums to the independently reduced rack total (§9.4)
+    assert list(result.power_by_placement) == [p.name for p in result.placements]
+    assert abs(result.attributed_power_w() - result.total_wall_power_w) <= 1e-6
     assert result.render()
 
 
@@ -188,7 +181,7 @@ class TestBuilder:
             keyspace=1_000,
         )
         run = ScenarioBuilder(spec).build()
-        for index, host in enumerate(run.kvs_hosts):
+        for index, host in enumerate(run.placements):
             keys = list(host.software.store.keys())
             assert keys
-            assert all(key_shard(k, len(run.kvs_hosts)) == index for k in keys)
+            assert all(key_shard(k, len(run.placements)) == index for k in keys)

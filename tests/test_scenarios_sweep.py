@@ -140,10 +140,11 @@ class TestPinnedVariants:
         )
         hw_run = ScenarioBuilder(hardware_variant(base)).build()
         sw_run = ScenarioBuilder(software_variant(base)).build()
-        hw_first = hw_run.kvs_hosts[0].wall_sampler.series.values[0]
-        sw_first = sw_run.kvs_hosts[0].wall_sampler.series.values[0]
+        hw_host, sw_host = hw_run.placements[0], sw_run.placements[0]
+        hw_first = hw_host.wall_samplers[hw_host.spec.name].series.values[0]
+        sw_first = sw_host.wall_samplers[sw_host.spec.name].series.values[0]
         assert hw_first > sw_first  # active card vs §9.2 standby at t=0
-        assert hw_run.kvs_hosts[0].service.shift_times_us() == [0.0]
+        assert hw_host.service.shift_times_us() == [0.0]
 
 
 # ---------------------------------------------------------------------------
